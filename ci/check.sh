@@ -92,7 +92,7 @@ tsan() {
   echo "=== tsan: concurrency tests under ThreadSanitizer ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSEMSIM_SANITIZE=thread
-  # single_source_test covers the node-partitioned parallel
+  # single_source_test covers the walk-id-partitioned parallel
   # SingleSourceIndex::Build (determinism across 1/2/8 threads) and the
   # scratch-arena pool.
   # node_sampler_test drives the parallel NodeSamplerIndex::Build fill
@@ -134,14 +134,16 @@ coldstart() {
   echo "=== coldstart: save/map/query under ASan + open-latency gate ==="
   # The mmap lifetime and corruption surfaces run instrumented: every
   # section-checksum rejection, truncated-file path, buffered fallback,
-  # and map-borrowing query sweep under AddressSanitizer.
+  # map-borrowing query sweep, and out-of-range walk-content rejection
+  # (Load and snapshot creation over a mapped artifact) under
+  # AddressSanitizer.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DSEMSIM_SANITIZE=address
   cmake --build build-asan -j "${JOBS}" \
     --target walk_index_test walk_index_corruption_test mapped_file_test \
-    dynamic_walk_index_test single_source_test
+    dynamic_walk_index_test single_source_test engine_snapshot_test
   ctest --test-dir build-asan --output-on-failure \
-    -R 'walk_index_test|walk_index_corruption_test|mapped_file_test|dynamic_walk_index_test|single_source_test'
+    -R 'walk_index_test|walk_index_corruption_test|mapped_file_test|dynamic_walk_index_test|single_source_test|engine_snapshot_test'
   # The perf gate runs uninstrumented (RelWithDebInfo): Load-vs-Map open
   # latency, bit-identity flags, memory split, parallel-build sweep.
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo

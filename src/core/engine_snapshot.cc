@@ -19,10 +19,6 @@ Gauge* InflightGauge() {
   return gauge;
 }
 
-uint64_t Chain(uint64_t seed, const void* data, size_t size) {
-  return Fnv1a64(data, size, seed);
-}
-
 template <typename T>
 uint64_t ChainValue(uint64_t seed, const T& value) {
   return Fnv1a64(&value, sizeof(value), seed);
@@ -109,7 +105,7 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
     snap->sampler_ = std::make_unique<NodeSamplerIndex>(NodeSamplerIndex::Build(
         *snap->graph_, SampleDirection::kIn, build_pool));
   }
-  ComputeFingerprint(*snap);
+  SEMSIM_RETURN_NOT_OK(ComputeFingerprint(*snap));
   if (options.eager_single_source) snap->InvertedIndex(build_pool);
   return EngineSnapshotPtr(std::move(snap));
 }
@@ -141,7 +137,7 @@ Result<EngineSnapshotPtr> EngineSnapshot::MapArtifact(
                 options, version, /*static_cache=*/nullptr, build_pool);
 }
 
-void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
+Status EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   uint64_t fp = kFnv1a64Offset;
   // Options that change results: kernel selection and the estimator
   // parameters (walk_budget defaults resolve at query time; decay/theta
@@ -162,22 +158,24 @@ void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   fp = ChainValue(fp, walks.seed);
   const uint8_t weighted = walks.weighted ? 1 : 0;
   fp = ChainValue(fp, weighted);
-  // Walk content: the flat step array is contiguous, so one chained
-  // pass covers every walk. A mapped artifact faults all pages in here
-  // — the documented one-time publish cost.
+  // Walk content, one origin at a time: bounds-check its walks, then
+  // hash its contiguous block of steps word-wise while it is still in
+  // cache. A mapped artifact faults all pages in here — the documented
+  // one-time publish cost.
   if (nodes > 0 && index.num_walks() > 0 && index.walk_length() > 0) {
-    const size_t steps = static_cast<size_t>(nodes) *
-                         static_cast<size_t>(index.num_walks()) *
-                         static_cast<size_t>(index.walk_length());
-    fp = Chain(fp, index.Walk(0, 0).data(), steps * sizeof(NodeId));
+    const size_t node_bytes = static_cast<size_t>(index.num_walks()) *
+                              static_cast<size_t>(index.walk_length()) *
+                              sizeof(NodeId);
     std::vector<uint16_t> live;
     live.reserve(static_cast<size_t>(nodes) * index.num_walks());
     for (NodeId v = 0; v < static_cast<NodeId>(nodes); ++v) {
+      SEMSIM_RETURN_NOT_OK(index.CheckWalks(nodes, v, v + 1));
+      fp = Fnv1a64Words(index.WalkData(v, 0), node_bytes, fp);
       for (int w = 0; w < index.num_walks(); ++w) {
         live.push_back(index.WalkLiveLength(v, w));
       }
     }
-    fp = Chain(fp, live.data(), live.size() * sizeof(uint16_t));
+    fp = Fnv1a64Words(live.data(), live.size() * sizeof(uint16_t), fp);
   }
   if (snap.sampler_ != nullptr) {
     fp = ChainValue(fp, snap.sampler_->Fingerprint());
@@ -187,6 +185,7 @@ void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
     fp = ChainValue(fp, cached_pairs);
   }
   snap.fingerprint_ = fp;
+  return Status::OK();
 }
 
 std::string EngineSnapshot::kernel_name() const {

@@ -94,7 +94,10 @@ class EngineSnapshot {
   /// MC options are rejected. `static_cache` (optional, borrowed — must
   /// outlive the snapshot) overrides cache_min_sem. `build_pool`
   /// (optional, borrowed only during the call) parallelizes the alias
-  /// sampler and eager single-source builds.
+  /// sampler and eager single-source builds. Walk content that would
+  /// index out of bounds (WalkIndex::CheckWalks against the graph's
+  /// node count) is rejected with InvalidArgument — the check that
+  /// covers MapArtifact, whose Map does not read the walks.
   static Result<EngineSnapshotPtr> Create(
       std::shared_ptr<const Hin> graph,
       std::shared_ptr<const SemanticMeasure> semantic,
@@ -192,7 +195,9 @@ class EngineSnapshot {
  private:
   EngineSnapshot();
 
-  static void ComputeFingerprint(EngineSnapshot& snap);
+  /// Sets fingerprint_; fails when the walk content is out of bounds
+  /// (it reads every step anyway).
+  static Status ComputeFingerprint(EngineSnapshot& snap);
 
   std::shared_ptr<const Hin> graph_;
   std::shared_ptr<const SemanticMeasure> semantic_;

@@ -18,121 +18,65 @@ SingleSourceIndex SingleSourceIndex::Build(const WalkIndex& index,
   ss.num_nodes_ = num_nodes;
   ss.num_walks_ = index.num_walks();
   ss.walk_length_ = index.walk_length();
+  const size_t t = static_cast<size_t>(ss.walk_length_);
 
-  size_t num_buckets =
-      static_cast<size_t>(ss.num_walks_) * static_cast<size_t>(ss.walk_length_);
+  // Bucket sizes from the live lengths alone, then one prefix sum.
+  size_t num_buckets = static_cast<size_t>(ss.num_walks_) * t;
   ss.bucket_offsets_.assign(num_buckets + 1, 0);
-
-  int threads = pool == nullptr ? 1 : pool->num_threads();
-  if (threads <= 1 || num_nodes < 2) {
-    // Serial three-pass construction. Both data passes iterate the
-    // compact layout — exactly the live prefix of each walk, no padding
-    // scan.
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      for (int w = 0; w < ss.num_walks_; ++w) {
-        int len = index.WalkLiveLength(v, w);
-        for (int s = 0; s < len; ++s) {
-          ++ss.bucket_offsets_[ss.BucketIndex(w, s) + 1];
-        }
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (int w = 0; w < ss.num_walks_; ++w) {
+      int len = index.WalkLiveLength(v, w);
+      SEMSIM_DCHECK(len <= ss.walk_length_) << "live length past walk_length";
+      for (int s = 0; s < len; ++s) {
+        ++ss.bucket_offsets_[ss.BucketIndex(w, s) + 1];
       }
     }
-    for (size_t b = 1; b <= num_buckets; ++b) {
-      ss.bucket_offsets_[b] += ss.bucket_offsets_[b - 1];
-    }
-    ss.entries_.resize(ss.bucket_offsets_.back());
-    std::vector<size_t> cursor(ss.bucket_offsets_.begin(),
-                               ss.bucket_offsets_.end() - 1);
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      for (int w = 0; w < ss.num_walks_; ++w) {
-        const NodeId* walk = index.WalkData(v, w);
-        int len = index.WalkLiveLength(v, w);
-        for (int s = 0; s < len; ++s) {
-          ss.entries_[cursor[ss.BucketIndex(w, s)]++] = Entry{walk[s], v};
-        }
-      }
-    }
-    for (size_t b = 0; b < num_buckets; ++b) {
-      std::sort(ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b]),
-                ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b + 1]),
-                [](const Entry& a, const Entry& e) {
-                  return a.position != e.position ? a.position < e.position
-                                                  : a.origin < e.origin;
-                });
-    }
-    return ss;
   }
-
-  // Parallel construction over fixed node partitions (one per worker;
-  // partition boundaries depend only on the resolved thread count, and
-  // the final sort canonicalizes bucket content regardless, so the
-  // result is bit-identical to the serial build for ANY thread count).
-  size_t parts = std::min(static_cast<size_t>(threads), num_nodes);
-  auto part_begin = [&](size_t p) { return p * num_nodes / parts; };
-
-  // Pass 1: per-partition bucket histograms (disjoint writes).
-  std::vector<std::vector<size_t>> hist(parts);
-  pool->ParallelFor(0, parts, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      hist[p].assign(num_buckets, 0);
-      NodeId v_end = static_cast<NodeId>(part_begin(p + 1));
-      for (NodeId v = static_cast<NodeId>(part_begin(p)); v < v_end; ++v) {
-        for (int w = 0; w < ss.num_walks_; ++w) {
-          int len = index.WalkLiveLength(v, w);
-          for (int s = 0; s < len; ++s) {
-            ++hist[p][ss.BucketIndex(w, s)];
-          }
-        }
-      }
-    }
-  });
-
-  // Merge: global bucket offsets, plus each partition's private write
-  // cursor inside every bucket (partitions fill disjoint subranges, in
-  // ascending node order — the exact layout the serial fill produces).
-  std::vector<std::vector<size_t>> cursor(parts,
-                                          std::vector<size_t>(num_buckets));
-  for (size_t b = 0; b < num_buckets; ++b) {
-    size_t base = ss.bucket_offsets_[b];
-    for (size_t p = 0; p < parts; ++p) {
-      cursor[p][b] = base;
-      base += hist[p][b];
-    }
-    ss.bucket_offsets_[b + 1] = base;
+  for (size_t b = 1; b <= num_buckets; ++b) {
+    ss.bucket_offsets_[b] += ss.bucket_offsets_[b - 1];
   }
   ss.entries_.resize(ss.bucket_offsets_.back());
 
-  // Pass 2: parallel fill through the per-partition cursors.
-  pool->ParallelFor(0, parts, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      std::vector<size_t>& cur = cursor[p];
-      NodeId v_end = static_cast<NodeId>(part_begin(p + 1));
-      for (NodeId v = static_cast<NodeId>(part_begin(p)); v < v_end; ++v) {
-        for (int w = 0; w < ss.num_walks_; ++w) {
-          const NodeId* walk = index.WalkData(v, w);
-          int len = index.WalkLiveLength(v, w);
-          for (int s = 0; s < len; ++s) {
-            ss.entries_[cur[ss.BucketIndex(w, s)]++] = Entry{walk[s], v};
-          }
+  // Counting transpose, one walk id at a time: the buckets of walk w
+  // are filled by a stable counting sort on position over the origins
+  // in ascending order, so each bucket ends up in (position, origin)
+  // order — the unique order of its keys — whatever the thread count.
+  // Buckets of different walk ids are disjoint, so walk ids fan out
+  // across the pool; each chunk owns one t·(n+1) cursor table.
+  auto transpose = [&](size_t w_begin, size_t w_end) {
+    const size_t row = num_nodes + 1;
+    std::vector<size_t> cursor(t * row);
+    for (size_t wi = w_begin; wi < w_end; ++wi) {
+      const int w = static_cast<int>(wi);
+      std::fill(cursor.begin(), cursor.end(), 0);
+      for (NodeId v = 0; v < num_nodes; ++v) {
+        const NodeId* walk = index.WalkData(v, w);
+        int len = index.WalkLiveLength(v, w);
+        for (int s = 0; s < len; ++s) {
+          SEMSIM_DCHECK(walk[s] < num_nodes) << "walk step out of range";
+          ++cursor[static_cast<size_t>(s) * row + walk[s] + 1];
+        }
+      }
+      for (size_t s = 0; s < t; ++s) {
+        size_t* c = cursor.data() + s * row;
+        c[0] = ss.bucket_offsets_[ss.BucketIndex(w, static_cast<int>(s))];
+        for (size_t p = 1; p < row; ++p) c[p] += c[p - 1];
+      }
+      for (NodeId v = 0; v < num_nodes; ++v) {
+        const NodeId* walk = index.WalkData(v, w);
+        int len = index.WalkLiveLength(v, w);
+        for (int s = 0; s < len; ++s) {
+          ss.entries_[cursor[static_cast<size_t>(s) * row + walk[s]]++] =
+              Entry{walk[s], v};
         }
       }
     }
-  });
-
-  // Pass 3: per-bucket parallel sorts (buckets are disjoint ranges).
-  pool->ParallelFor(0, num_buckets, [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      std::sort(ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b]),
-                ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b + 1]),
-                [](const Entry& a, const Entry& e) {
-                  return a.position != e.position ? a.position < e.position
-                                                  : a.origin < e.origin;
-                });
-    }
-  });
+  };
+  if (pool == nullptr) {
+    transpose(0, static_cast<size_t>(ss.num_walks_));
+  } else {
+    pool->ParallelFor(0, static_cast<size_t>(ss.num_walks_), transpose);
+  }
   return ss;
 }
 

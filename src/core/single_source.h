@@ -31,12 +31,15 @@ class SingleSourceIndex {
 
   /// Builds the inverted index; `index` (and the graph it was built on)
   /// must outlive the result. Memory mirrors the walk index,
-  /// O(n·n_w·t). With a pool the three construction passes (bucket
-  /// counting, fill, per-bucket sorts) are node- resp. bucket-
-  /// partitioned across it; the result is bit-identical for every
-  /// thread count (within a bucket, entries are canonicalized by a sort
-  /// on the strictly unique (position, origin) key, so the fill order
-  /// cannot show through). nullptr = serial.
+  /// O(n·n_w·t). Construction is a counting transpose per walk id in
+  /// O(n·n_w·t) time: a stable counting sort on position over the
+  /// origins in ascending order leaves every bucket in (position,
+  /// origin) order. With a pool the walk ids (disjoint bucket sets) fan
+  /// out across it, each chunk with O(t·n) cursor scratch; the result
+  /// is bit-identical for every thread count. nullptr = serial. The
+  /// walk content must be in bounds (live lengths <= walk_length, live
+  /// steps < num_nodes); WalkIndex::Load and EngineSnapshot::Create
+  /// reject artifacts that are not.
   static SingleSourceIndex Build(const WalkIndex& index, size_t num_nodes,
                                  const ThreadPool* pool = nullptr);
 

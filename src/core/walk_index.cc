@@ -1,7 +1,9 @@
 #include "core/walk_index.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "common/failpoint.h"
 #include "common/fnv.h"
@@ -95,6 +97,34 @@ void WalkIndex::RecomputeLiveLengths(size_t num_nodes) {
     live_owned_[w] = static_cast<uint16_t>(live);
   }
   live_len_ = live_owned_;
+}
+
+Status WalkIndex::CheckWalks(size_t num_nodes, NodeId first,
+                             NodeId last) const {
+  auto where = [](NodeId v, int w) {
+    return " at node " + std::to_string(v) + " walk " + std::to_string(w);
+  };
+  for (NodeId v = first; v < last; ++v) {
+    for (int w = 0; w < options_.num_walks; ++w) {
+      const int len = WalkLiveLength(v, w);
+      if (len > options_.walk_length) {
+        return Status::InvalidArgument(
+            "walk index live length " + std::to_string(len) +
+            " exceeds walk_length " + std::to_string(options_.walk_length) +
+            where(v, w));
+      }
+      const NodeId* walk = WalkData(v, w);
+      NodeId max_step = 0;
+      for (int s = 0; s < len; ++s) max_step = std::max(max_step, walk[s]);
+      if (len > 0 && max_step >= num_nodes) {
+        return Status::InvalidArgument(
+            "walk index step " + std::to_string(max_step) +
+            " out of range for " + std::to_string(num_nodes) + " nodes" +
+            where(v, w));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 void WalkIndex::CopyFrom(const WalkIndex& other) {
@@ -459,6 +489,11 @@ Result<WalkIndex> WalkIndex::LoadImpl(const std::string& path,
   } else {
     index.live_owned_.assign(parsed.live.begin(), parsed.live.end());
     index.live_len_ = index.live_owned_;
+  }
+  Status content = index.CheckWalks(
+      parsed.num_nodes, 0, static_cast<NodeId>(parsed.num_nodes));
+  if (!content.ok()) {
+    return Status::InvalidArgument(content.message() + ": " + path);
   }
   return index;
 }

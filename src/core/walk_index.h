@@ -118,6 +118,14 @@ class WalkIndex {
     return live_len_[static_cast<size_t>(v) * options_.num_walks + walk];
   }
 
+  /// Bounds check over the walks of origins [first, last): every live
+  /// length is at most walk_length and every live step is below
+  /// `num_nodes` — what SingleSourceIndex::Build and the query kernels
+  /// index with. Load() checks every origin; EngineSnapshot::Create
+  /// checks a mapped (unverified) index the same way. InvalidArgument
+  /// names the first offending walk.
+  Status CheckWalks(size_t num_nodes, NodeId first, NodeId last) const;
+
   /// Probability Q assigns to stepping from `from` to in-neighbor at
   /// position `idx` of InNeighbors(from). Uniform: 1/|I(from)|.
   double ProposalProb(const Hin& graph, NodeId from, size_t idx) const;
@@ -160,7 +168,9 @@ class WalkIndex {
   /// padding scan — the old behavior). Validates the header magic and
   /// format version, the walk parameters, and `expected_nodes` (guards
   /// against pairing an index with the wrong graph), and rejects
-  /// truncated or oversized payloads with a descriptive Status.
+  /// truncated or oversized payloads with a descriptive Status. Walk
+  /// content that would index out of bounds (see CheckWalks) is
+  /// rejected with InvalidArgument.
   static Result<WalkIndex> Load(const std::string& path,
                                 size_t expected_nodes);
 
@@ -172,6 +182,8 @@ class WalkIndex {
   /// v1 file still maps its step array but owns recomputed live lengths
   /// (hybrid mode). The returned index owns the mapping; queries fault
   /// pages in lazily. See WalkIndexMapOptions for checksum policy.
+  /// Walk content is not read here, so it is not bounds-checked either;
+  /// EngineSnapshot::Create checks it before serving.
   static Result<WalkIndex> Map(const std::string& path, size_t expected_nodes,
                                const WalkIndexMapOptions& map_options = {});
 

@@ -722,6 +722,18 @@ class InstanceRunner {
       AddViolation("artifact-roundtrip",
                    "inverted-index fingerprints differ between Load and Map");
     }
+    // The inverted index is a pure function of the walks: the pooled
+    // build reproduces the serial one byte for byte.
+    ThreadPool pool(cfg_.threads);
+    SingleSourceIndex inv_pooled =
+        SingleSourceIndex::Build(loaded.value(), n, &pool);
+    ++report_.bit_checks;
+    if (inv_pooled.Fingerprint() != inv_loaded.Fingerprint()) {
+      AddViolation("single-source-threads",
+                   "inverted-index fingerprint differs between the serial "
+                   "and the " +
+                       std::to_string(cfg_.threads) + "-thread build");
+    }
     for (size_t i = 0; i < sources_.size() && !suppressed_; ++i) {
       NodeId u = sources_[i];
       CompareVectorsBit(

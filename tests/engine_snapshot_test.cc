@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "core/batch_engine.h"
 #include "core/dynamic_walk_index.h"
 #include "core/walk_index.h"
@@ -124,6 +128,74 @@ TEST(EngineSnapshot, MappedArtifactServesBitIdenticallyToOwned) {
   ASSERT_EQ(got_a.size(), got_b.size());
   for (size_t i = 0; i < got_a.size(); ++i) EXPECT_EQ(got_a[i], got_b[i]);
   std::remove(path.c_str());
+}
+
+// Writes a copy of the artifact at `path` to `out_path` with sizeof(T)
+// bytes at `at` inside section `record` (0 = steps, 1 = live lengths)
+// replaced by `value`, and that section's checksum rewritten. The
+// section directory is 32-byte records {offset, size, checksum, ...}
+// after the 48-byte header and an 8-byte directory header.
+template <typename T>
+void WriteWithSectionValue(const std::string& path,
+                           const std::string& out_path, int record, size_t at,
+                           T value) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const size_t rec = 56 + static_cast<size_t>(record) * 32;
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  std::memcpy(&offset, bytes.data() + rec, sizeof(offset));
+  std::memcpy(&size, bytes.data() + rec + 8, sizeof(size));
+  std::memcpy(bytes.data() + offset + at, &value, sizeof(T));
+  uint64_t checksum = Fnv1a64(bytes.data() + offset, size);
+  std::memcpy(bytes.data() + rec + 16, &checksum, sizeof(checksum));
+  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A mapped artifact is not read at Map time, so out-of-bounds walk
+// content must be caught when the snapshot is created — as a Status,
+// before any single-source build or query can index past an array.
+TEST(EngineSnapshot, MappedArtifactWithOutOfRangeWalksIsRejected) {
+  auto w = MakeSmallWorld();
+  LinMeasure lin(&w.context);
+  WalkIndex built = WalkIndex::Build(w.graph, SmallWalks());
+  ASSERT_GT(built.WalkLiveLength(0, 0), 0);
+  std::string path = ::testing::TempDir() + "semsim_snapshot_bounds.widx";
+  std::string bad = ::testing::TempDir() + "semsim_snapshot_bounds_bad.widx";
+  ASSERT_TRUE(built.Save(path).ok());
+  EngineSnapshotOptions opt;
+  opt.eager_single_source = true;
+  WalkIndexMapOptions verify;
+  verify.verify_checksums = true;
+
+  const NodeId n = static_cast<NodeId>(w.graph.num_nodes());
+  WriteWithSectionValue<NodeId>(path, bad, 0, 0, n);
+  Result<EngineSnapshotPtr> step = EngineSnapshot::MapArtifact(
+      Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), bad, opt, 1, verify);
+  ASSERT_FALSE(step.ok());
+  EXPECT_EQ(step.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(step.status().message().find("out of range"), std::string::npos)
+      << step.status().ToString();
+
+  const uint16_t too_long = static_cast<uint16_t>(SmallWalks().walk_length + 1);
+  WriteWithSectionValue<uint16_t>(path, bad, 1, 0, too_long);
+  Result<EngineSnapshotPtr> live = EngineSnapshot::MapArtifact(
+      Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), bad, opt, 2, verify);
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(live.status().message().find("exceeds walk_length"),
+            std::string::npos)
+      << live.status().ToString();
+
+  // The pristine artifact still maps and serves.
+  EXPECT_TRUE(EngineSnapshot::MapArtifact(Unowned(&w.graph),
+                                          Unowned<SemanticMeasure>(&lin), path,
+                                          opt, 3, verify)
+                  .ok());
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
 }
 
 // Mapped -> owned promotion through the maintainer: Adopt COW-promotes

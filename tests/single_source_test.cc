@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/fnv.h"
 #include "core/mc_simrank.h"
 #include "datasets/amazon_gen.h"
+#include "datasets/aminer_gen.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
 
@@ -12,6 +18,66 @@ namespace {
 
 using testutil::MakeSmallWorld;
 using testutil::Unwrap;
+
+// Reference build: the comparison-sort construction the index used
+// before the counting transpose. Every (walk, step) bucket is filled in
+// origin order and then sorted on (position, origin). Returns the
+// FNV-1a of the offsets and entries, the bytes
+// SingleSourceIndex::Fingerprint() covers.
+uint64_t ReferenceFingerprint(const WalkIndex& index, size_t num_nodes) {
+  struct Entry {
+    NodeId position;
+    NodeId origin;
+  };
+  const size_t t = static_cast<size_t>(index.walk_length());
+  const size_t num_buckets = static_cast<size_t>(index.num_walks()) * t;
+  std::vector<size_t> offsets(num_buckets + 1, 0);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (int w = 0; w < index.num_walks(); ++w) {
+      for (int s = 0; s < index.WalkLiveLength(v, w); ++s) {
+        ++offsets[static_cast<size_t>(w) * t + static_cast<size_t>(s) + 1];
+      }
+    }
+  }
+  for (size_t b = 1; b <= num_buckets; ++b) offsets[b] += offsets[b - 1];
+  std::vector<Entry> entries(offsets.back());
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (int w = 0; w < index.num_walks(); ++w) {
+      const NodeId* walk = index.WalkData(v, w);
+      for (int s = 0; s < index.WalkLiveLength(v, w); ++s) {
+        entries[cursor[static_cast<size_t>(w) * t + static_cast<size_t>(s)]++] =
+            Entry{walk[s], v};
+      }
+    }
+  }
+  for (size_t b = 0; b < num_buckets; ++b) {
+    std::sort(entries.begin() + static_cast<long>(offsets[b]),
+              entries.begin() + static_cast<long>(offsets[b + 1]),
+              [](const Entry& a, const Entry& e) {
+                return a.position != e.position ? a.position < e.position
+                                                : a.origin < e.origin;
+              });
+  }
+  uint64_t h = Fnv1a64(offsets.data(), offsets.size() * sizeof(size_t));
+  return Fnv1a64(entries.data(), entries.size() * sizeof(Entry), h);
+}
+
+// The serial build and the 1-, 2- and 8-thread pool builds all
+// reproduce the reference structure byte for byte.
+void ExpectBuildsMatchReference(const WalkIndex& index, size_t num_nodes,
+                                const std::string& input) {
+  const uint64_t reference = ReferenceFingerprint(index, num_nodes);
+  SingleSourceIndex serial = SingleSourceIndex::Build(index, num_nodes);
+  EXPECT_EQ(serial.Fingerprint(), reference) << input << ", serial";
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    SingleSourceIndex pooled = SingleSourceIndex::Build(index, num_nodes, &pool);
+    EXPECT_EQ(pooled.Fingerprint(), reference)
+        << input << ", threads=" << threads;
+    EXPECT_EQ(pooled.MemoryBytes(), serial.MemoryBytes()) << input;
+  }
+}
 
 class SingleSourceTest : public ::testing::Test {
  protected:
@@ -94,16 +160,40 @@ TEST_F(SingleSourceTest, MemoryIsReported) {
 
 TEST_F(SingleSourceTest, ParallelBuildIsBitIdenticalAcrossThreadCounts) {
   // The inverted index must not depend on how construction was
-  // partitioned: 1, 2, and 8 threads (more threads than partitions on
-  // the 8-node world) all reproduce the serial structure byte for byte.
-  uint64_t serial = inverted_.Fingerprint();
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    SingleSourceIndex parallel =
-        SingleSourceIndex::Build(index_, world_.graph.num_nodes(), &pool);
-    EXPECT_EQ(parallel.Fingerprint(), serial) << "threads=" << threads;
-    EXPECT_EQ(parallel.MemoryBytes(), inverted_.MemoryBytes());
-  }
+  // partitioned, and must equal the comparison-sort reference: on the
+  // fixture world, on one-step walks, on a directed chain whose walks
+  // die early (zero and short live prefixes), and on a one-node graph.
+  const size_t n = world_.graph.num_nodes();
+  ExpectBuildsMatchReference(index_, n, "small world");
+
+  WalkIndexOptions one_step;
+  one_step.num_walks = 20;
+  one_step.walk_length = 1;
+  ExpectBuildsMatchReference(WalkIndex::Build(world_.graph, one_step), n,
+                             "walk_length=1");
+
+  // Edges 0->1->2->3->4 plus 2->4: reverse walks from node 0 are empty,
+  // from node 1 live for one step, and so on.
+  HinBuilder chain;
+  for (int i = 0; i < 5; ++i) chain.AddNode("c" + std::to_string(i), "n");
+  for (NodeId i = 0; i < 4; ++i) ASSERT_TRUE(chain.AddEdge(i, i + 1, "e").ok());
+  ASSERT_TRUE(chain.AddEdge(2, 4, "e").ok());
+  Hin chain_graph = Unwrap(std::move(chain).Build());
+  WalkIndexOptions chain_walks;
+  chain_walks.num_walks = 30;
+  chain_walks.walk_length = 6;
+  WalkIndex chain_index = WalkIndex::Build(chain_graph, chain_walks);
+  ASSERT_EQ(chain_index.WalkLiveLength(0, 0), 0);
+  ASSERT_EQ(chain_index.WalkLiveLength(1, 0), 1);
+  ExpectBuildsMatchReference(chain_index, chain_graph.num_nodes(),
+                             "directed chain");
+
+  HinBuilder single;
+  single.AddNode("only", "n");
+  ASSERT_TRUE(single.AddEdge(0, 0, "self").ok());
+  Hin single_graph = Unwrap(std::move(single).Build());
+  ExpectBuildsMatchReference(WalkIndex::Build(single_graph, chain_walks), 1,
+                             "n=1");
 }
 
 TEST_F(SingleSourceTest, ScratchSweepsAreBitIdenticalToFreshAllocation) {
@@ -180,16 +270,17 @@ TEST(SingleSourceGenerated, ParallelBuildMatchesSerialOnLargerGraph) {
   WalkIndexOptions wopt;
   wopt.num_walks = 60;
   wopt.walk_length = 10;
-  WalkIndex index = WalkIndex::Build(d.graph, wopt);
-  SingleSourceIndex serial =
-      SingleSourceIndex::Build(index, d.graph.num_nodes());
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    SingleSourceIndex parallel =
-        SingleSourceIndex::Build(index, d.graph.num_nodes(), &pool);
-    ASSERT_EQ(parallel.Fingerprint(), serial.Fingerprint())
-        << "threads=" << threads;
-  }
+  ExpectBuildsMatchReference(WalkIndex::Build(d.graph, wopt),
+                             d.graph.num_nodes(), "amazon");
+
+  AminerOptions aminer;
+  aminer.num_authors = 150;
+  aminer.seed = 5;
+  Dataset a = Unwrap(GenerateAminer(aminer));
+  WalkIndexOptions weighted = wopt;
+  weighted.weighted = true;
+  ExpectBuildsMatchReference(WalkIndex::Build(a.graph, weighted),
+                             a.graph.num_nodes(), "weighted aminer");
 }
 
 TEST(SingleSourceGenerated, ConsistentOnLargerGraph) {

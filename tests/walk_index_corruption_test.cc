@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "tests/test_util.h"
 
 namespace semsim {
@@ -96,6 +97,23 @@ class WalkIndexCorruptionTest : public ::testing::Test {
                     static_cast<size_t>(field) * sizeof(uint64_t),
                 sizeof(value));
     return value;
+  }
+
+  // Overwrites sizeof(T) bytes at `at` inside section `record` of a
+  // copy of the artifact and rewrites that section's checksum, so only
+  // the content check can reject it.
+  template <typename T>
+  std::vector<char> WithSectionValue(int record, size_t at, T value) const {
+    std::vector<char> mutated = bytes_;
+    const size_t offset = RecordField(record, 0);
+    const size_t size = RecordField(record, 1);
+    std::memcpy(mutated.data() + offset + at, &value, sizeof(T));
+    uint64_t checksum = Fnv1a64(mutated.data() + offset, size);
+    std::memcpy(mutated.data() + kRecordsOffset +
+                    static_cast<size_t>(record) * kRecordSize +
+                    2 * sizeof(uint64_t),
+                &checksum, sizeof(checksum));
+    return mutated;
   }
 
   // Writes `bytes` to path_ and memory-maps with the correct node count.
@@ -248,6 +266,35 @@ TEST_F(WalkIndexCorruptionTest, LiveLengthSectionChecksumFlipIsRejected) {
   mutated[RecordField(1, 0)] ^= 0x01;
   ExpectStatus(LoadMutated(mutated), StatusCode::kIOError,
                "live-length section checksum mismatch");
+}
+
+TEST_F(WalkIndexCorruptionTest, OutOfRangeStepIsRejected) {
+  // A step equal to n in a live prefix, under a valid checksum: Load
+  // must refuse it rather than hand an index readers would overrun.
+  ASSERT_GT(index_.WalkLiveLength(0, 0), 0);
+  const NodeId n = static_cast<NodeId>(world_.graph.num_nodes());
+  std::vector<char> mutated = WithSectionValue<NodeId>(0, 0, n);
+  ExpectStatus(LoadMutated(mutated), StatusCode::kInvalidArgument,
+               "out of range");
+  // Map does not read the walks, so it still opens; EngineSnapshot
+  // creation checks the content (engine_snapshot_test).
+  WalkIndexMapOptions verify;
+  verify.verify_checksums = true;
+  EXPECT_TRUE(MapMutated(mutated, verify).ok());
+
+  // Same step in a legacy payload, whose live prefix ends at the first
+  // kInvalidNode.
+  std::vector<char> legacy = LegacyBytes();
+  std::memcpy(legacy.data() + kHeaderSize, &n, sizeof(n));
+  ExpectStatus(LoadMutated(legacy), StatusCode::kInvalidArgument,
+               "out of range");
+}
+
+TEST_F(WalkIndexCorruptionTest, LiveLengthPastWalkLengthIsRejected) {
+  const uint16_t too_long = static_cast<uint16_t>(index_.walk_length() + 1);
+  std::vector<char> mutated = WithSectionValue<uint16_t>(1, 0, too_long);
+  ExpectStatus(LoadMutated(mutated), StatusCode::kInvalidArgument,
+               "exceeds walk_length");
 }
 
 TEST_F(WalkIndexCorruptionTest, TruncatedLiveLengthSectionIsRejected) {
