@@ -8,11 +8,6 @@
 //
 // Extensions:
 //   --threads=N        drive the batch workload at 1 and N threads.
-//   --kernel=both|flat|generic
-//                      which query kernel(s) to measure (DESIGN.md §7).
-//                      "both" runs each, verifies the result vectors are
-//                      bit-identical, and reports the flat/generic
-//                      speedup.
 //   --dataset=medium|small
 //                      "small" is the CI smoke configuration: skips the
 //                      (a)/(b) single-pair sweeps and uses a smaller
@@ -21,10 +16,9 @@
 //                      P (JSON) and the .prom sibling (Prometheus text)
 //                      after the run (DESIGN.md §8).
 //
-// Each measured kernel writes BENCH_queries_<kernel>.json; with both
-// kernels a combined BENCH_queries.json adds the flat_speedup headline
-// (cold-pass single-thread queries/sec ratio, the devirtualization win
-// before cache effects).
+// The batch section writes BENCH_queries.json: per-pass throughput and
+// cache rates, the engine's semantic kernel name, and whether the
+// N-thread results are bit-identical to the 1-thread ones.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -102,30 +96,32 @@ QueryTimes Measure(const Dataset& dataset, const LinMeasure& lin, int num_walks,
   return times;
 }
 
-// Result of one kernel's batch-engine run, for the cross-kernel summary.
-struct KernelRun {
-  std::string name;              // "flat" or "generic"
-  double cold_qps_1t = 0;        // cold pass, 1 thread — the headline
-  double warm_qps_1t = 0;
-  std::vector<double> results;   // warm 1-thread result vector
-};
-
 // Batch-engine section: the paper-default workload (n_w=150, t=15) as a
-// query batch through one kernel, at 1 thread and at the requested count.
-KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
-                         const WalkIndex& index,
-                         std::span<const NodePair> pairs, QueryKernel kernel,
-                         int requested_threads) {
+// query batch, at 1 thread and at the requested count.
+void RunBatch(const Dataset& dataset, const LinMeasure& lin,
+              int requested_threads, int batch_pairs) {
+  WalkIndexOptions wopt;
+  wopt.num_walks = 150;
+  wopt.walk_length = 15;
+  wopt.seed = 7;
+  WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
+
+  Rng rng(23);
+  std::vector<NodePair> pairs;
+  size_t n = dataset.graph.num_nodes();
+  for (int i = 0; i < batch_pairs; ++i) {
+    NodeId u = static_cast<NodeId>(rng.NextIndex(n));
+    NodeId v = static_cast<NodeId>(rng.NextIndex(n));
+    if (u == v) v = static_cast<NodeId>((v + 1) % n);
+    pairs.push_back({u, v});
+  }
+
   int resolved = ThreadPool::ResolveThreadCount(requested_threads);
   std::vector<int> counts = {1};
   if (resolved != 1) counts.push_back(resolved);
 
-  KernelRun run;
-  run.name = kernel == QueryKernel::kFlat ? "flat" : "generic";
-
   bench::JsonBenchDoc doc("fig4_query_times");
   doc.Add("dataset", dataset.name)
-      .Add("kernel", run.name)
       .Add("num_nodes", dataset.graph.num_nodes())
       .Add("num_pairs", pairs.size())
       .Add("num_walks", index.num_walks())
@@ -134,23 +130,26 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
       .Add("requested_threads", requested_threads)
       .Add("resolved_threads", resolved);
 
-  std::printf("\nbatch engine kernel=%s (n_w=%d, t=%d, theta=0.05, %zu "
-              "pairs), requested --threads=%d -> resolved %d\n",
-              run.name.c_str(), index.num_walks(), index.walk_length(),
-              pairs.size(), requested_threads, resolved);
+  std::printf("\nbatch engine (n_w=%d, t=%d, theta=0.05, %zu pairs), "
+              "requested --threads=%d -> resolved %d\n",
+              index.num_walks(), index.walk_length(), pairs.size(),
+              requested_threads, resolved);
   TablePrinter table({"threads", "pass", "wall ms", "queries/s",
                       "norm cache hit%", "sem cache hit%"});
   std::vector<double> reference;
   double base_ms = 0;
+  double cold_qps_1t = 0;
+  double warm_qps_1t = 0;
   for (int threads : counts) {
     BatchQueryEngineOptions opt;
     opt.num_threads = threads;
-    opt.query.kernel = kernel;
     opt.query.mc = SemSimMcOptions{0.6, 0.05};
     BatchQueryEngine engine = bench::Unwrap(
         BatchQueryEngine::Create(&dataset.graph, &lin, &index, opt));
     if (threads == counts.front()) {
-      doc.Add("engine_kernel_name", engine.kernel_name())
+      std::string kernel(engine.estimator().sem_kernel_name());
+      std::printf("semantic kernel: %s\n", kernel.c_str());
+      doc.Add("engine_kernel_name", kernel)
           .Add("engine_memory_bytes", engine.MemoryBytes());
     }
     for (const char* pass : {"cold", "warm"}) {
@@ -184,12 +183,11 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
           .Field("pruned_walks", static_cast<int64_t>(stats.pruned_walks));
       if (threads == 1) {
         if (std::string(pass) == "cold") {
-          run.cold_qps_1t = qps;
+          cold_qps_1t = qps;
         } else {
-          run.warm_qps_1t = qps;
+          warm_qps_1t = qps;
           base_ms = wall_ms;
-          reference = results.values;
-          run.results = std::move(results.values);
+          reference = std::move(results.values);
         }
       } else if (std::string(pass) == "warm") {
         bool identical = results.values == reference;
@@ -202,74 +200,13 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
       }
     }
   }
-  doc.Add("cold_queries_per_sec_1thread", run.cold_qps_1t)
-      .Add("warm_queries_per_sec_1thread", run.warm_qps_1t);
+  doc.Add("cold_queries_per_sec_1thread", cold_qps_1t)
+      .Add("warm_queries_per_sec_1thread", warm_qps_1t);
   table.Print(std::cout);
-  doc.WriteFile("BENCH_queries_" + run.name + ".json");
-  return run;
+  doc.WriteFile("BENCH_queries.json");
 }
 
-void RunBatch(const Dataset& dataset, const LinMeasure& lin,
-              const std::string& kernel_flag, int requested_threads,
-              int batch_pairs) {
-  WalkIndexOptions wopt;
-  wopt.num_walks = 150;
-  wopt.walk_length = 15;
-  wopt.seed = 7;
-  WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
-
-  Rng rng(23);
-  std::vector<NodePair> pairs;
-  size_t n = dataset.graph.num_nodes();
-  for (int i = 0; i < batch_pairs; ++i) {
-    NodeId u = static_cast<NodeId>(rng.NextIndex(n));
-    NodeId v = static_cast<NodeId>(rng.NextIndex(n));
-    if (u == v) v = static_cast<NodeId>((v + 1) % n);
-    pairs.push_back({u, v});
-  }
-
-  std::vector<KernelRun> runs;
-  if (kernel_flag == "both" || kernel_flag == "generic") {
-    runs.push_back(RunBatchKernel(dataset, lin, index, pairs,
-                                  QueryKernel::kGeneric, requested_threads));
-  }
-  if (kernel_flag == "both" || kernel_flag == "flat") {
-    runs.push_back(RunBatchKernel(dataset, lin, index, pairs,
-                                  QueryKernel::kFlat, requested_threads));
-  }
-  SEMSIM_CHECK(!runs.empty()) << "unknown --kernel value: " << kernel_flag;
-
-  if (runs.size() == 2) {
-    const KernelRun& generic = runs[0];
-    const KernelRun& flat = runs[1];
-    bool identical = flat.results == generic.results;
-    double cold_speedup = flat.cold_qps_1t / generic.cold_qps_1t;
-    double warm_speedup = flat.warm_qps_1t / generic.warm_qps_1t;
-    std::printf("\nflat vs generic: results bit-identical: %s\n",
-                identical ? "yes" : "NO — KERNEL EQUIVALENCE BUG");
-    std::printf("flat speedup (1 thread): cold %.2fx, warm %.2fx\n",
-                cold_speedup, warm_speedup);
-
-    bench::JsonBenchDoc doc("fig4_query_times");
-    doc.Add("dataset", dataset.name)
-        .Add("num_nodes", dataset.graph.num_nodes())
-        .Add("num_pairs", pairs.size())
-        .Add("num_walks", 150)
-        .Add("walk_length", 15)
-        .Add("theta", 0.05)
-        .Add("kernels_bit_identical", identical ? 1 : 0)
-        .Add("generic_cold_queries_per_sec", generic.cold_qps_1t)
-        .Add("flat_cold_queries_per_sec", flat.cold_qps_1t)
-        .Add("generic_warm_queries_per_sec", generic.warm_qps_1t)
-        .Add("flat_warm_queries_per_sec", flat.warm_qps_1t)
-        .Add("flat_speedup", cold_speedup)
-        .Add("flat_speedup_warm", warm_speedup);
-    doc.WriteFile("BENCH_queries.json");
-  }
-}
-
-void Run(const std::string& dataset_flag, const std::string& kernel_flag,
-         int requested_threads) {
+void Run(const std::string& dataset_flag, int requested_threads) {
   bool small = dataset_flag == "small";
   Dataset dataset = small ? bench::AmazonSmall() : bench::AmazonMedium();
   bench::Banner("Fig4 / Amazon", dataset, 2);
@@ -308,8 +245,7 @@ void Run(const std::string& dataset_flag, const std::string& kernel_flag,
         def.semsim_pruned_us, def.semsim_pruned_us / def.simrank_us);
   }
 
-  RunBatch(dataset, lin, kernel_flag, requested_threads,
-           small ? 600 : 2000);
+  RunBatch(dataset, lin, requested_threads, small ? 600 : 2000);
 }
 
 }  // namespace
@@ -317,13 +253,11 @@ void Run(const std::string& dataset_flag, const std::string& kernel_flag,
 
 int main(int argc, char** argv) {
   int threads = semsim::bench::ParseIntFlag(argc, argv, "--threads", 0);
-  std::string kernel =
-      semsim::bench::ParseStringFlag(argc, argv, "--kernel", "both");
   std::string dataset =
       semsim::bench::ParseStringFlag(argc, argv, "--dataset", "medium");
   std::string metrics_out =
       semsim::bench::ParseStringFlag(argc, argv, "--metrics-out", "");
-  semsim::Run(dataset, kernel, threads);
+  semsim::Run(dataset, threads);
   semsim::bench::MaybeWriteMetrics(metrics_out);
   return 0;
 }

@@ -36,7 +36,7 @@ inline int ParseIntFlag(int argc, char** argv, const char* name,
 }
 
 /// Parses a string `--name=value` flag from argv; returns fallback when
-/// absent. Used by the query benches for --kernel and --dataset.
+/// absent. Used by the query benches for --dataset and --metrics-out.
 inline std::string ParseStringFlag(int argc, char** argv, const char* name,
                                    const char* fallback) {
   std::string prefix = std::string(name) + "=";

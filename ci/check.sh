@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 build-and-test pass, then sanitizer
 # builds of the query-kernel and concurrency surfaces:
-#   asan  — AddressSanitizer over the flat-kernel paths (transition
+#   asan  — AddressSanitizer over the query-kernel paths (transition
 #           table, flat semantic table, walk-index compact layout).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
 #           concurrent caches, batch query engine, metrics registry)
 #           plus the flat-kernel equivalence test, which drives
 #           multi-thread engines over the shared read-only flat tables.
-#   bench — smoke-run of the query bench with both kernels on the small
-#           dataset, gated by ci/compare_bench.py (flat must not be
-#           slower than generic, results must be bit-identical).
+#   bench — smoke-run of the query bench on the small dataset at 1 and
+#           2 threads, gated by ci/compare_bench.py (2-thread results
+#           bit-identical to 1-thread, the Lin measure served by the
+#           flat-lin kernel).
 #   metrics — bench smoke with --metrics-out, then the compare_bench
 #           metrics checker (required series present, histograms
 #           coherent, JSON and Prometheus exports agree).
@@ -34,9 +35,10 @@
 #           bounded admitted-request p99 under overload, overload
 #           visibly shed through rejection/degradation/deadlines).
 #   verify — randomized differential sweep (DESIGN.md §9): replays
-#           identical queries through the iterative oracle, both MC
-#           kernels, the batch engine, single-source and top-k, checking
-#           bit-identity and statistical bands. Smoke = 200 fixed seeds
+#           identical queries through the iterative oracle, the MC
+#           estimator against a virtual-semantics reference, the batch
+#           engine, single-source and top-k, checking bit-identity and
+#           statistical bands. Smoke = 200 fixed seeds
 #           (<60s); extended = 1000 further seeds for the nightly lane.
 #           Failing seeds dump replayable artifacts under
 #           build/verify-artifacts/.
@@ -114,10 +116,10 @@ tsan() {
 }
 
 bench_smoke() {
-  echo "=== bench smoke: both query kernels on the small dataset ==="
+  echo "=== bench smoke: query bench on the small dataset, 1 vs 2 threads ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_fig4_query_times
-  (cd build && ./bench/bench_fig4_query_times --dataset=small --kernel=both)
+  (cd build && ./bench/bench_fig4_query_times --dataset=small --threads=2)
   python3 ci/compare_bench.py --dir build
 }
 
@@ -125,7 +127,7 @@ metrics_smoke() {
   echo "=== metrics smoke: bench with --metrics-out + snapshot checks ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_fig4_query_times
-  (cd build && ./bench/bench_fig4_query_times --dataset=small --kernel=both \
+  (cd build && ./bench/bench_fig4_query_times --dataset=small --threads=2 \
     --metrics-out=BENCH_metrics.json)
   python3 ci/compare_bench.py --dir build --metrics build/BENCH_metrics.json
 }

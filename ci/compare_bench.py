@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Compares per-kernel query-bench outputs and gates the flat kernel.
+"""Gates the query-bench output and the other bench documents.
 
-Reads the combined BENCH_queries.json written by bench_fig4_query_times
-when run with --kernel=both (falling back to the two per-kernel files if
-the combined document is absent), prints a summary, and exits non-zero
-when:
+Reads BENCH_queries.json written by bench_fig4_query_times (run with
+--threads=N, N > 1), prints a summary, and exits non-zero when:
 
-  * the flat and generic kernels disagree bitwise on any query, or
-  * the flat kernel's cold single-thread throughput is not at least
-    --min-speedup times the generic kernel's (default 1.0, i.e. "flat
-    must not be slower"; the nightly perf job passes a higher bar).
+  * the N-thread batch results are not bit-identical to the 1-thread
+    ones, or the document lacks that comparison (a run without a
+    second thread count proves nothing), or
+  * the engine's semantic kernel is not "flat-lin" — the Lin measure
+    of the bench silently fell back to virtual semantics.
 
 With --metrics SNAPSHOT.json it additionally validates the metrics
 snapshot written by --metrics-out (DESIGN.md §8): the JSON document has
@@ -42,7 +41,7 @@ finishes inside its deadline), and the overload must be visibly shed
 through rejections, degradations, or deadline failures rather than
 silently queued. --service also runs standalone.
 
-Usage: ci/compare_bench.py [--dir DIR] [--min-speedup X]
+Usage: ci/compare_bench.py [--dir DIR]
                            [--metrics SNAPSHOT.json]
                            [--coldstart BENCH_coldstart.json]
                            [--min-map-speedup X]
@@ -63,26 +62,25 @@ def load_json(path):
         return json.load(f)
 
 
-def from_combined(doc):
-    return {
-        "identical": bool(doc["kernels_bit_identical"]),
-        "generic_cold": float(doc["generic_cold_queries_per_sec"]),
-        "flat_cold": float(doc["flat_cold_queries_per_sec"]),
-        "generic_warm": float(doc["generic_warm_queries_per_sec"]),
-        "flat_warm": float(doc["flat_warm_queries_per_sec"]),
-    }
+# The bench serves the Lin measure, which the estimator must run through
+# its devirtualized kernel.
+EXPECTED_KERNEL = "flat-lin"
 
 
-def from_per_kernel(generic_doc, flat_doc):
-    # Bit-identity is only checked inside the bench when both kernels run
-    # in one process; the per-kernel fallback can't re-verify it here.
-    return {
-        "identical": None,
-        "generic_cold": float(generic_doc["cold_queries_per_sec_1thread"]),
-        "flat_cold": float(flat_doc["cold_queries_per_sec_1thread"]),
-        "generic_warm": float(generic_doc["warm_queries_per_sec_1thread"]),
-        "flat_warm": float(flat_doc["warm_queries_per_sec_1thread"]),
-    }
+def check_queries(doc):
+    failures = []
+    identical = doc.get("results_identical_across_thread_counts")
+    if identical is None:
+        failures.append("no cross-thread comparison in the document; run "
+                        "bench_fig4_query_times with --threads=N, N > 1")
+    elif identical != 1:
+        failures.append("N-thread batch results differ from the 1-thread "
+                        "ones")
+    kernel = doc.get("engine_kernel_name")
+    if kernel != EXPECTED_KERNEL:
+        failures.append(f"engine semantic kernel is {kernel!r}, expected "
+                        f"{EXPECTED_KERNEL!r}")
+    return failures
 
 
 # Series every instrumented bench run must have registered: the trace
@@ -334,8 +332,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dir", default=".",
                     help="directory holding the BENCH_*.json files")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="required flat/generic cold 1-thread qps ratio")
     ap.add_argument("--metrics", default=None,
                     help="also validate this --metrics-out JSON snapshot "
                          "(and its .prom sibling)")
@@ -425,41 +421,24 @@ def main():
               "latency bar")
         return 0
 
-    combined = os.path.join(args.dir, "BENCH_queries.json")
-    generic = os.path.join(args.dir, "BENCH_queries_generic.json")
-    flat = os.path.join(args.dir, "BENCH_queries_flat.json")
-
-    if os.path.exists(combined):
-        stats = from_combined(load_json(combined))
-        source = combined
-    elif os.path.exists(generic) and os.path.exists(flat):
-        stats = from_per_kernel(load_json(generic), load_json(flat))
-        source = f"{generic} + {flat}"
-    else:
+    path = os.path.join(args.dir, "BENCH_queries.json")
+    if not os.path.exists(path):
         print(f"error: no bench output found in {args.dir!r}; run "
-              "bench_fig4_query_times --kernel=both first", file=sys.stderr)
+              "bench_fig4_query_times --threads=2 first", file=sys.stderr)
         return 2
+    doc = load_json(path)
 
-    cold_speedup = stats["flat_cold"] / stats["generic_cold"]
-    warm_speedup = stats["flat_warm"] / stats["generic_warm"]
-
-    print(f"bench comparison ({source})")
-    print(f"  cold 1-thread qps: generic {stats['generic_cold']:.0f}, "
-          f"flat {stats['flat_cold']:.0f}  ->  {cold_speedup:.2f}x")
-    print(f"  warm 1-thread qps: generic {stats['generic_warm']:.0f}, "
-          f"flat {stats['flat_warm']:.0f}  ->  {warm_speedup:.2f}x")
-    if stats["identical"] is not None:
-        print(f"  results bit-identical: "
-              f"{'yes' if stats['identical'] else 'NO'}")
+    print(f"query bench ({path})")
+    print(f"  semantic kernel: {doc.get('engine_kernel_name')}")
+    print(f"  1-thread qps: cold "
+          f"{doc.get('cold_queries_per_sec_1thread', 0):.0f}, warm "
+          f"{doc.get('warm_queries_per_sec_1thread', 0):.0f}")
+    print(f"  threads: requested {doc.get('requested_threads')}, resolved "
+          f"{doc.get('resolved_threads')}")
 
     failed = False
-    if stats["identical"] is False:
-        print("FAIL: flat and generic kernels disagree on query results",
-              file=sys.stderr)
-        failed = True
-    if cold_speedup < args.min_speedup:
-        print(f"FAIL: flat cold speedup {cold_speedup:.2f}x is below the "
-              f"required {args.min_speedup:.2f}x", file=sys.stderr)
+    for failure in check_queries(doc):
+        print(f"FAIL: queries: {failure}", file=sys.stderr)
         failed = True
 
     if args.metrics is not None:
@@ -477,7 +456,8 @@ def main():
 
     if failed:
         return 1
-    print("OK: flat kernel is no slower than generic and results agree")
+    print("OK: batch results are thread-count invariant and the flat Lin "
+          "kernel served them")
     return 0
 
 

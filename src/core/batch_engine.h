@@ -35,9 +35,8 @@ struct BatchQueryEngineOptions {
   /// the measure — the flat table reads are cheaper than the cache's
   /// sharded lookup.
   int64_t semantic_cache_capacity = 1 << 20;
-  /// Kernel selection + estimator parameters applied to every batch
-  /// item — the QueryOptions surface shared with SemSimEngineOptions
-  /// (defaults: kFlat, c=0.6, θ=0.05).
+  /// Estimator parameters applied to every batch item — the QueryOptions
+  /// surface shared with SemSimEngineOptions (defaults: c=0.6, θ=0.05).
   QueryOptions query;
 };
 
@@ -160,18 +159,6 @@ class BatchQueryEngine {
   /// The per-worker arena pool behind SingleSourceBatch / TopKBatch;
   /// exposed so benches can report the arena reuse rate.
   const ScratchPool& scratch_pool() const { return *scratch_pool_; }
-
-  /// The flat tables owned by the snapshot; nullptr under kGeneric (and
-  /// flat_semantic_table() also when the measure is not flattenable).
-  const TransitionTable* transition_table() const {
-    return snapshot_->transition_table();
-  }
-  const FlatSemanticTable* flat_semantic_table() const {
-    return snapshot_->flat_semantic_table();
-  }
-  /// "generic", or "flat+<sem kernel name>" (e.g. "flat+flat-lin",
-  /// "flat+virtual" when only edge acceleration applies).
-  std::string kernel_name() const { return snapshot_->kernel_name(); }
 
   size_t MemoryBytes() const;
 

@@ -53,22 +53,6 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   snap->walk_index_ = std::move(walk_index);
   snap->options_ = options;
   snap->version_ = version;
-  // Flat-kernel preprocessing (DESIGN.md §7): the transition table
-  // always pays off; the flat semantic table only exists when the
-  // measure is one of the flattenable built-ins. When it is, the
-  // devirtualized kernel replaces every sem(·,·) call, so the memoizing
-  // CachedSemanticMeasure wrapper would only add shard locks in front
-  // of a few array reads — skip building it entirely.
-  if (options.query.kernel == QueryKernel::kFlat) {
-    snap->transition_table_ = std::make_unique<TransitionTable>(
-        TransitionTable::Build(*snap->graph_));
-    kernels::SemInfo info = kernels::ClassifyMeasure(snap->semantic_.get());
-    if (info.kind != kernels::SemKind::kVirtual) {
-      snap->flat_semantic_ = std::make_unique<FlatSemanticTable>(
-          FlatSemanticTable::Build(*info.context));
-      snap->sem_devirtualized_ = true;
-    }
-  }
   if (static_cache != nullptr) {
     snap->static_cache_ = static_cache;
   } else if (options.cache_min_sem >= 0) {
@@ -79,8 +63,13 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
         PairNormalizerCache::Build(pair_graph, options.cache_min_sem));
     snap->static_cache_ = snap->owned_static_cache_.get();
   }
+  // The estimator builds its own flat tables (DESIGN.md §7). A measure
+  // it devirtualizes needs no memoizing CachedSemanticMeasure — the
+  // wrapper would only add shard locks in front of a few array reads —
+  // so only measures that run through their virtual Sim get one.
   const SemanticMeasure* measure = snap->semantic_.get();
-  if (options.semantic_cache_capacity > 0 && !snap->sem_devirtualized_) {
+  if (options.semantic_cache_capacity > 0 &&
+      kernels::ClassifyMeasure(measure).kind == kernels::SemKind::kVirtual) {
     snap->cached_semantic_ = std::make_unique<CachedSemanticMeasure>(
         measure, static_cast<size_t>(options.semantic_cache_capacity));
     snap->cached_semantic_->cache().BindMetrics("semantic");
@@ -89,11 +78,6 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   snap->estimator_ = std::make_unique<SemSimMcEstimator>(
       snap->graph_.get(), measure, snap->walk_index_.get(),
       snap->static_cache_);
-  if (options.query.kernel == QueryKernel::kFlat) {
-    bool engaged = snap->estimator_->AttachFlatKernel(
-        snap->flat_semantic_.get(), snap->transition_table_.get());
-    SEMSIM_CHECK(engaged == snap->sem_devirtualized_);
-  }
   if (options.normalizer_cache_capacity > 0) {
     snap->normalizer_cache_ = std::make_unique<ConcurrentPairCache>(
         static_cast<size_t>(options.normalizer_cache_capacity));
@@ -139,11 +123,8 @@ Result<EngineSnapshotPtr> EngineSnapshot::MapArtifact(
 
 Status EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   uint64_t fp = kFnv1a64Offset;
-  // Options that change results: kernel selection and the estimator
-  // parameters (walk_budget defaults resolve at query time; decay/theta
-  // pin the estimate itself).
-  const int32_t kernel = static_cast<int32_t>(snap.options_.query.kernel);
-  fp = ChainValue(fp, kernel);
+  // Options that change results: the estimator parameters (walk_budget
+  // defaults resolve at query time; decay/theta pin the estimate itself).
   fp = ChainValue(fp, snap.options_.query.mc.decay);
   fp = ChainValue(fp, snap.options_.query.mc.theta);
   fp = ChainValue(fp, snap.options_.cache_min_sem);
@@ -188,11 +169,6 @@ Status EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   return Status::OK();
 }
 
-std::string EngineSnapshot::kernel_name() const {
-  if (options_.query.kernel == QueryKernel::kGeneric) return "generic";
-  return "flat+" + std::string(estimator_->sem_kernel_name());
-}
-
 const SingleSourceIndex& EngineSnapshot::InvertedIndex(
     const ThreadPool* pool) const {
   const SingleSourceIndex* published =
@@ -210,8 +186,10 @@ const SingleSourceIndex& EngineSnapshot::InvertedIndex(
 
 size_t EngineSnapshot::MemoryBytes() const {
   size_t total = walk_index_->MemoryBytes();
-  if (transition_table_) total += transition_table_->MemoryBytes();
-  if (flat_semantic_) total += flat_semantic_->MemoryBytes();
+  total += estimator_->transition_table()->MemoryBytes();
+  if (const FlatSemanticTable* flat = estimator_->flat_semantic_table()) {
+    total += flat->MemoryBytes();
+  }
   if (sampler_) total += sampler_->TableBytes();
   if (owned_static_cache_) total += owned_static_cache_->MemoryBytes();
   if (normalizer_cache_) total += normalizer_cache_->MemoryBytes();

@@ -42,7 +42,7 @@ std::shared_ptr<const T> Unowned(const T* ptr) {
 /// SemSimEngineOptions — the snapshot is the common substrate both
 /// engines now share.
 struct EngineSnapshotOptions {
-  /// Kernel selection + estimator parameters applied to every query
+  /// Estimator parameters applied to every query
   /// served from this snapshot.
   QueryOptions query;
   /// Slot budget of the cross-query SO-normalizer cache. 0 disables it;
@@ -61,9 +61,9 @@ struct EngineSnapshotOptions {
 };
 
 /// One immutable, versioned bundle of every artifact a query needs: the
-/// HIN, the semantic measure, the walk index (owned or mapped), the flat
-/// kernel tables, the alias sampler, the SLING caches, and the
-/// estimator bound over them (DESIGN.md §14).
+/// HIN, the semantic measure, the walk index (owned or mapped), the alias
+/// sampler, the SLING caches, and the estimator bound over them, which
+/// owns the flat kernel tables (DESIGN.md §14).
 ///
 /// Ownership model: a snapshot is created once, read forever, destroyed
 /// when its last reader releases it — it is only ever handled through
@@ -148,19 +148,6 @@ class EngineSnapshot {
   /// Chained FNV-1a over options, graph shape, and walk-index content.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// The flat tables; nullptr under kGeneric (and flat_semantic_table()
-  /// also when the measure is not flattenable).
-  const TransitionTable* transition_table() const {
-    return transition_table_.get();
-  }
-  const FlatSemanticTable* flat_semantic_table() const {
-    return flat_semantic_.get();
-  }
-  /// True when the flat kernel devirtualized sem(·,·).
-  bool sem_devirtualized() const { return sem_devirtualized_; }
-  /// "generic", or "flat+<sem kernel name>".
-  std::string kernel_name() const;
-
   /// The alias sampler over the graph's in-neighborhoods; built only
   /// when the walk index was sampled weighted with SamplerKind::kAlias
   /// (dynamic updates against this snapshot reuse it instead of
@@ -205,10 +192,7 @@ class EngineSnapshot {
   EngineSnapshotOptions options_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
-  bool sem_devirtualized_ = false;
 
-  std::unique_ptr<TransitionTable> transition_table_;
-  std::unique_ptr<FlatSemanticTable> flat_semantic_;
   std::unique_ptr<NodeSamplerIndex> sampler_;
   std::unique_ptr<PairNormalizerCache> owned_static_cache_;
   const PairNormalizerCache* static_cache_ = nullptr;

@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "core/concurrent_cache.h"
-#include "graph/hin.h"
 #include "graph/transition_table.h"
 #include "graph/types.h"
 #include "taxonomy/flat_semantic_table.h"
@@ -12,22 +11,12 @@
 
 namespace semsim {
 
-/// Which query-kernel implementation an engine should run (DESIGN.md §7).
-/// The two produce bit-identical results; kFlat builds flat tables
-/// (TransitionTable, and a FlatSemanticTable when the measure supports
-/// devirtualization) and runs the templated inner loops over them.
-enum class QueryKernel {
-  /// Virtual SemanticMeasure dispatch + Hin::InEdgeInfo binary search.
-  kGeneric,
-  /// Devirtualized semantics + precomputed transition tables.
-  kFlat,
-};
-
 namespace kernels {
 
-/// Semantic policy for the templated estimator loops: the generic
-/// fallback — every sem(u,v) is a virtual call. Any SemanticMeasure
-/// (custom, cached, JiangConrath, ...) runs through this.
+/// Semantic policy for the templated estimator loops: the fallback for
+/// measures without a flat kernel — every sem(u,v) is a virtual call.
+/// Any SemanticMeasure (custom, cached, JiangConrath, ...) runs through
+/// this.
 struct VirtualSem {
   const SemanticMeasure* m;
   double Sim(NodeId u, NodeId v) const { return m->Sim(u, v); }
@@ -41,24 +30,10 @@ struct StepSide {
   double q;
 };
 
-/// Edge policy: the generic path. InEdgeInfo is a binary search over the
-/// sorted in-CSR plus a parallel-edge scan; q is computed with a fresh
-/// division, exactly as the estimator always has.
-struct SearchEdges {
-  const Hin* graph;
-  StepSide Step(NodeId cur, NodeId next, bool weighted) const {
-    Hin::EdgeInfo e = graph->InEdgeInfo(cur, next);
-    double q = weighted
-                   ? e.total_weight / graph->TotalInWeight(cur)
-                   : static_cast<double>(e.multiplicity) /
-                         static_cast<double>(graph->InDegree(cur));
-    return {e.total_weight, q};
-  }
-};
-
-/// Edge policy: the flat path. One O(1) hash probe returns the collapsed
-/// group with both q quotients precomputed (by the same divisions
-/// SearchEdges performs — see TransitionTable), so a step is two loads.
+/// Edge policy of every estimator loop. One O(1) hash probe returns the
+/// collapsed parallel-edge group with both q quotients precomputed (by
+/// the same divisions as Hin::InEdgeInfo plus InDegree / TotalInWeight —
+/// see TransitionTable), so a step is two loads.
 struct TableEdges {
   const TransitionTable* table;
   StepSide Step(NodeId cur, NodeId next, bool weighted) const {
@@ -81,7 +56,8 @@ struct SemInfo {
 /// Detects whether `measure` is one of the four flattenable built-in
 /// measures, unwrapping a CachedSemanticMeasure decorator first (the
 /// flat kernels are cheaper than the cache's sharded lookup, so the
-/// cache layer is bypassed entirely when devirtualizing).
+/// cache layer is bypassed entirely when devirtualizing). The four
+/// classes are final, so a match is always the stock formula.
 inline SemInfo ClassifyMeasure(const SemanticMeasure* measure) {
   if (auto* cached = dynamic_cast<const CachedSemanticMeasure*>(measure)) {
     measure = &cached->base();

@@ -75,64 +75,48 @@ void PublishQueryStats(const McQueryStats& stats) {
   }
 }
 
+SemSimMcEstimator::SemSimMcEstimator(const Hin* graph,
+                                     const SemanticMeasure* semantic,
+                                     const WalkIndex* index,
+                                     const PairNormalizerCache* cache)
+    : graph_(graph),
+      semantic_(semantic),
+      index_(index),
+      cache_(cache),
+      transitions_(TransitionTable::Build(*graph)) {
+  kernels::SemInfo info = kernels::ClassifyMeasure(semantic);
+  if (info.kind != kernels::SemKind::kVirtual) {
+    flat_sem_.emplace(FlatSemanticTable::Build(*info.context));
+    sem_kind_ = info.kind;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel dispatch. The inner loops below are member templates over a
-// semantic policy (VirtualSem or one of the Flat*Kernel structs) and an
-// edge policy (SearchEdges or TableEdges); Dispatch selects the
-// instantiation matching the attached flat tables. Every policy computes
-// the same arithmetic in the same order, so all instantiations return
-// bit-identical values — the flat ones just drop the virtual calls, the
-// CSR binary searches, and the per-step divisions.
+// semantic policy (VirtualSem or one of the Flat*Kernel structs); every
+// step reads the transition table through TableEdges. Dispatch selects
+// the instantiation matching the measure's type. The flat kernels mirror
+// the measures' formulas operation for operation, so they return the
+// bits the virtual Sim would — they just drop the virtual calls.
 // ---------------------------------------------------------------------------
 
 template <typename F>
 auto SemSimMcEstimator::Dispatch(F&& f) const {
-  auto run = [&](const auto& sem) {
-    if (transitions_ != nullptr) {
-      return f(sem, kernels::TableEdges{transitions_});
-    }
-    return f(sem, kernels::SearchEdges{graph_});
-  };
+  const kernels::TableEdges edges{&transitions_};
+  const FlatSemanticTable* flat = flat_semantic_table();
   switch (sem_kind_) {
     case kernels::SemKind::kLin:
-      return run(FlatLinKernel{flat_sem_});
+      return f(FlatLinKernel{flat}, edges);
     case kernels::SemKind::kResnik:
-      return run(FlatResnikKernel{flat_sem_});
+      return f(FlatResnikKernel{flat}, edges);
     case kernels::SemKind::kWuPalmer:
-      return run(FlatWuPalmerKernel{flat_sem_});
+      return f(FlatWuPalmerKernel{flat}, edges);
     case kernels::SemKind::kPath:
-      return run(FlatPathKernel{flat_sem_});
+      return f(FlatPathKernel{flat}, edges);
     case kernels::SemKind::kVirtual:
       break;
   }
-  return run(kernels::VirtualSem{semantic_});
-}
-
-bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics,
-                                         const TransitionTable* transitions) {
-  if (transitions != nullptr) {
-    SEMSIM_CHECK(transitions->num_nodes() == graph_->num_nodes());
-  }
-  transitions_ = transitions;
-  flat_sem_ = nullptr;
-  sem_kind_ = kernels::SemKind::kVirtual;
-  if (semantics != nullptr) {
-    kernels::SemInfo info = kernels::ClassifyMeasure(semantic_);
-    if (info.kind != kernels::SemKind::kVirtual) {
-      // The table must flatten the measure's own context, otherwise the
-      // devirtualized formulas would read someone else's IC/LCA data.
-      SEMSIM_CHECK(semantics->source() == info.context);
-      flat_sem_ = semantics;
-      sem_kind_ = info.kind;
-    }
-  }
-  return sem_kind_ != kernels::SemKind::kVirtual;
-}
-
-void SemSimMcEstimator::DetachFlatKernel() {
-  transitions_ = nullptr;
-  flat_sem_ = nullptr;
-  sem_kind_ = kernels::SemKind::kVirtual;
+  return f(kernels::VirtualSem{semantic_}, edges);
 }
 
 std::string_view SemSimMcEstimator::sem_kernel_name() const {
@@ -152,19 +136,7 @@ std::string_view SemSimMcEstimator::sem_kernel_name() const {
 }
 
 double SemSimMcEstimator::SemValue(NodeId u, NodeId v) const {
-  switch (sem_kind_) {
-    case kernels::SemKind::kLin:
-      return FlatLinKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kResnik:
-      return FlatResnikKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kWuPalmer:
-      return FlatWuPalmerKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kPath:
-      return FlatPathKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kVirtual:
-      break;
-  }
-  return semantic_->Sim(u, v);
+  return Dispatch([&](const auto& sem, const auto&) { return sem.Sim(u, v); });
 }
 
 template <typename Sem>
@@ -219,9 +191,10 @@ double SemSimMcEstimator::Normalizer(NodeId u, NodeId v,
   });
 }
 
-template <typename Sem, typename Edges>
+template <typename Sem>
 double SemSimMcEstimator::CoupledWalkScoreT(
-    const Sem& sem, const Edges& edges, NodeId u, NodeId v, int walk,
+    const Sem& sem, const kernels::TableEdges& edges, NodeId u, NodeId v,
+    int walk,
     int meeting_step, const SemSimMcOptions& options, QueryContext* context,
     McQueryStats* stats) const {
   SEMSIM_DCHECK(meeting_step >= 1 && meeting_step <= index_->walk_length());
@@ -269,8 +242,9 @@ double SemSimMcEstimator::CoupledWalkScore(NodeId u, NodeId v, int walk,
   });
 }
 
-template <typename Sem, typename Edges>
-double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
+template <typename Sem>
+double SemSimMcEstimator::QueryT(const Sem& sem,
+                                 const kernels::TableEdges& edges, NodeId u,
                                  NodeId v, const SemSimMcOptions& options,
                                  McQueryStats* stats) const {
   SEMSIM_DCHECK(options.decay > 0 && options.decay < 1);
@@ -279,10 +253,7 @@ double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
   // Lines 2-3 of Algorithm 1: sem(u,v) is an upper bound on sim(u,v)
   // (Prop. 2.5), so low-semantics pairs are answered 0 immediately.
   if (options.theta > 0 && sem_uv <= options.theta) {
-    if (stats) {
-      stats->sem_pruned = true;
-      ++stats->sem_pruned_queries;
-    }
+    if (stats) ++stats->sem_pruned_queries;
     return 0.0;
   }
 

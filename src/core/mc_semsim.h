@@ -2,6 +2,7 @@
 #define SEMSIM_CORE_MC_SEMSIM_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -64,15 +65,10 @@ inline int EffectiveWalkBudget(const SemSimMcOptions& options,
 Status ValidateMcOptions(const SemSimMcOptions& options);
 
 /// The query-time surface shared by SemSimEngine and BatchQueryEngine:
-/// kernel selection plus the estimator parameters applied to every
-/// query. Both engines embed one of these as `.query`, so the two option
-/// structs cannot drift apart.
+/// the estimator parameters applied to every query. Both engines embed
+/// one of these as `.query`, so the two option structs cannot drift
+/// apart.
 struct QueryOptions {
-  /// Which query-kernel implementation to run (DESIGN.md §7). kFlat
-  /// precomputes the transition table (and, for the flattenable built-in
-  /// measures, the flat semantic table); results are bit-identical to
-  /// kGeneric.
-  QueryKernel kernel = QueryKernel::kFlat;
   /// Estimator parameters: c=0.6 and pruning θ=0.05 are the paper's
   /// experimental setting.
   SemSimMcOptions mc{0.6, 0.05};
@@ -85,10 +81,8 @@ struct McQueryStats {
   int met_walks = 0;
   /// Walks cut short by the θ partial-product bound (Def. 4.5).
   int pruned_walks = 0;
-  /// Query answered 0 because sem(u,v) <= θ (lines 2-3 of Algorithm 1).
-  bool sem_pruned = false;
-  /// Number of queries answered 0 by the sem(u,v) <= θ test — the
-  /// summable form of `sem_pruned` (which saturates under Merge).
+  /// Number of queries answered 0 by the sem(u,v) <= θ test (lines 2-3
+  /// of Algorithm 1).
   int64_t sem_pruned_queries = 0;
   /// Number of d²-cost normalizer (SO) computations performed.
   int64_t normalizers_computed = 0;
@@ -97,13 +91,12 @@ struct McQueryStats {
   /// Normalizer lookups answered by the cross-query concurrent cache.
   int64_t shared_cache_hits = 0;
 
-  /// Accumulates `other` into this record (counter sums; sem_pruned
-  /// becomes a count-like OR). Sums commute, so merging per-thread
-  /// partials yields the same totals for every thread count.
+  /// Accumulates `other` into this record (counter sums). Sums commute,
+  /// so merging per-thread partials yields the same totals for every
+  /// thread count.
   void Merge(const McQueryStats& other) {
     met_walks += other.met_walks;
     pruned_walks += other.pruned_walks;
-    sem_pruned = sem_pruned || other.sem_pruned;
     sem_pruned_queries += other.sem_pruned_queries;
     normalizers_computed += other.normalizers_computed;
     normalizer_cache_hits += other.normalizer_cache_hits;
@@ -133,14 +126,23 @@ void PublishQueryStats(const McQueryStats& stats);
 /// the semantic-aware distribution P, yielding an unbiased estimate of
 /// sem(u,v)·E_P[c^τ] (Eq. 4). Average query time O(n_w·t·d²); with the
 /// pruning rules the observed time is on par with SimRank (Sec. 5.2).
+///
+/// One kernel (DESIGN.md §7): every coupled-walk step reads the
+/// estimator's own TransitionTable. The semantic policy follows from the
+/// measure's type: the four built-in measures (Lin, Resnik, WuPalmer,
+/// Path — final classes) run a devirtualized Flat*Kernel over the
+/// estimator's own FlatSemanticTable; every other measure (JiangConrath,
+/// constant, custom, or a CachedSemanticMeasure over one of those) is
+/// called through its virtual Sim.
 class SemSimMcEstimator {
  public:
+  /// Builds the transition table over `graph` and, when `semantic` is a
+  /// flattenable built-in, the flat semantic table over its context.
   /// All pointers must outlive the estimator; `cache` is optional
   /// (nullptr = compute every normalizer on the fly).
   SemSimMcEstimator(const Hin* graph, const SemanticMeasure* semantic,
                     const WalkIndex* index,
-                    const PairNormalizerCache* cache = nullptr)
-      : graph_(graph), semantic_(semantic), index_(index), cache_(cache) {}
+                    const PairNormalizerCache* cache = nullptr);
 
   /// Installs a cross-query normalizer cache shared by every thread and
   /// every subsequent query. Consulted after the static SLING cache and
@@ -151,27 +153,12 @@ class SemSimMcEstimator {
   void set_shared_cache(ConcurrentPairCache* cache) { shared_cache_ = cache; }
   const ConcurrentPairCache* shared_cache() const { return shared_cache_; }
 
-  /// Switches the estimator onto the flat query kernels (DESIGN.md §7).
-  /// `transitions` (built from the same graph) replaces the per-step
-  /// InEdgeInfo binary search and q divisions; `semantics` (may be
-  /// nullptr) devirtualizes sem(u,v) when the bound measure is one of
-  /// the four flattenable built-ins — `semantics` must then have been
-  /// built from that measure's SemanticContext (checked). Results are
-  /// bit-identical to the generic path on every query. Both tables must
-  /// outlive the estimator (or the detach). Returns true when the
-  /// semantic measure was devirtualized (false = virtual fallback, e.g.
-  /// for JiangConrath or custom measures; transition acceleration still
-  /// applies).
-  bool AttachFlatKernel(const FlatSemanticTable* semantics,
-                        const TransitionTable* transitions);
-
-  /// Reverts to the fully generic path.
-  void DetachFlatKernel();
-
-  /// Whether any flat acceleration is attached.
-  bool flat() const {
-    return transitions_ != nullptr ||
-           sem_kind_ != kernels::SemKind::kVirtual;
+  /// The tables the estimator owns: the transition table is always
+  /// built; the flat semantic table is nullptr when the measure runs
+  /// through its virtual Sim.
+  const TransitionTable* transition_table() const { return &transitions_; }
+  const FlatSemanticTable* flat_semantic_table() const {
+    return flat_sem_ ? &*flat_sem_ : nullptr;
   }
 
   /// Name of the active semantic kernel: "virtual", or
@@ -233,18 +220,19 @@ class SemSimMcEstimator {
   double Normalizer(NodeId u, NodeId v, QueryContext* context,
                     McQueryStats* stats) const;
 
-  // Templated inner loops, instantiated per (semantic, edge) policy pair
-  // in mc_semsim.cc; Dispatch routes a call to the instantiation matching
-  // the attached flat tables (defined there too — all uses are in that
-  // translation unit).
+  // Templated inner loops, instantiated per semantic policy in
+  // mc_semsim.cc; Dispatch routes a call to the instantiation matching
+  // sem_kind_ (defined there too — all uses are in that translation
+  // unit).
   template <typename F>
   auto Dispatch(F&& f) const;
-  template <typename Sem, typename Edges>
-  double QueryT(const Sem& sem, const Edges& edges, NodeId u, NodeId v,
-                const SemSimMcOptions& options, McQueryStats* stats) const;
-  template <typename Sem, typename Edges>
-  double CoupledWalkScoreT(const Sem& sem, const Edges& edges, NodeId u,
-                           NodeId v, int walk, int meeting_step,
+  template <typename Sem>
+  double QueryT(const Sem& sem, const kernels::TableEdges& edges, NodeId u,
+                NodeId v, const SemSimMcOptions& options,
+                McQueryStats* stats) const;
+  template <typename Sem>
+  double CoupledWalkScoreT(const Sem& sem, const kernels::TableEdges& edges,
+                           NodeId u, NodeId v, int walk, int meeting_step,
                            const SemSimMcOptions& options,
                            QueryContext* context, McQueryStats* stats) const;
   template <typename Sem>
@@ -256,9 +244,9 @@ class SemSimMcEstimator {
   const WalkIndex* index_;
   const PairNormalizerCache* cache_;
   ConcurrentPairCache* shared_cache_ = nullptr;
-  // Flat-kernel state (AttachFlatKernel). Null / kVirtual = generic path.
-  const FlatSemanticTable* flat_sem_ = nullptr;
-  const TransitionTable* transitions_ = nullptr;
+  TransitionTable transitions_;
+  // Engaged exactly when sem_kind_ != kVirtual.
+  std::optional<FlatSemanticTable> flat_sem_;
   kernels::SemKind sem_kind_ = kernels::SemKind::kVirtual;
 };
 

@@ -196,7 +196,6 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
       scratch.sem_val[v] = s_uv;
       if (options.theta > 0 && s_uv <= options.theta) {
         scratch.sem_ok[v] = 0;
-        local.sem_pruned = true;
         ++local.sem_pruned_queries;
       } else {
         scratch.sem_ok[v] = 1;

@@ -42,8 +42,8 @@ TransitionTable TransitionTable::Build(const Hin& graph) {
         ++g.multiplicity;
         ++i;
       }
-      // The exact divisions the generic path performs per step, paid
-      // once here instead (see the bit-exactness note in the header).
+      // The exact divisions of the per-step formula, paid once here
+      // instead of per step (see the bit-exactness note in the header).
       g.q_uniform = static_cast<double>(g.multiplicity) /
                     static_cast<double>(indeg);
       g.q_weighted = g.total_weight / graph.TotalInWeight(v);

@@ -26,7 +26,7 @@ namespace semsim {
 ///      per group — so a step multiplies two loads instead of dividing.
 ///
 /// Bit-exactness: the per-group quotients are computed at build time
-/// with the *same division* the generic path performs at query time
+/// with the *same division* the step formula defines
 /// (`multiplicity / InDegree`, `total_weight / TotalInWeight`), and
 /// `total_weight` accumulates parallel edges in the same CSR order as
 /// `InEdgeInfo`. A kernel reading this table therefore produces values

@@ -40,7 +40,7 @@ Status ValidateSemanticMeasure(const SemanticMeasure& measure,
 ///   Lin(u,v) = 2·IC(LCA(cu,cv)) / (IC(cu) + IC(cv)),
 /// floored to the context's ic_floor so constraint (3) holds. The paper's
 /// primary measure.
-class LinMeasure : public SemanticMeasure {
+class LinMeasure final : public SemanticMeasure {
  public:
   /// `ctx` must outlive the measure.
   explicit LinMeasure(const SemanticContext* ctx) : ctx_(ctx) {}
@@ -59,8 +59,8 @@ class LinMeasure : public SemanticMeasure {
 
   std::string_view name() const override { return "Lin"; }
 
-  /// The bound context — lets the flat kernel layer verify a
-  /// FlatSemanticTable was built from the same preprocessing artifact.
+  /// The bound context — the estimator builds its FlatSemanticTable
+  /// from this same preprocessing artifact.
   const SemanticContext* context() const { return ctx_; }
 
  private:
@@ -71,7 +71,7 @@ class LinMeasure : public SemanticMeasure {
 /// already in range; self-pairs are forced to 1 to satisfy constraint (2)
 /// (raw Resnik violates it, as the paper notes such measures may need
 /// normalization).
-class ResnikMeasure : public SemanticMeasure {
+class ResnikMeasure final : public SemanticMeasure {
  public:
   explicit ResnikMeasure(const SemanticContext* ctx) : ctx_(ctx) {}
 
@@ -95,7 +95,7 @@ class ResnikMeasure : public SemanticMeasure {
 
 /// Wu–Palmer: 2·depth(LCA) / (depth(cu) + depth(cv)); a depth-based
 /// alternative. Root LCA (depth 0) is floored to ic_floor.
-class WuPalmerMeasure : public SemanticMeasure {
+class WuPalmerMeasure final : public SemanticMeasure {
  public:
   explicit WuPalmerMeasure(const SemanticContext* ctx) : ctx_(ctx) {}
 
@@ -122,7 +122,7 @@ class WuPalmerMeasure : public SemanticMeasure {
 
 /// Edge-counting measure (Rada et al. [31]): 1 / (1 + tree-distance).
 /// Always in (0, 1] with self-similarity 1.
-class PathMeasure : public SemanticMeasure {
+class PathMeasure final : public SemanticMeasure {
  public:
   explicit PathMeasure(const SemanticContext* ctx) : ctx_(ctx) {}
 

@@ -15,14 +15,12 @@
 #include "common/thread_pool.h"
 #include "core/batch_engine.h"
 #include "core/iterative.h"
-#include "core/mc_kernels.h"
 #include "core/mc_simrank.h"
 #include "core/single_source.h"
 #include "core/topk.h"
 #include "graph/graph_io.h"
 #include "graph/node_sampler.h"
 #include "graph/transition_table.h"
-#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/taxonomy_io.h"
 #include "testing/stat_check.h"
 
@@ -63,6 +61,19 @@ std::unique_ptr<SemanticMeasure> MakeMeasure(MeasureKind kind,
   }
   return nullptr;
 }
+
+// Forwards Sim to another measure. No flat kernel can classify it, so
+// an estimator over it runs the virtual semantic policy: the reference
+// the flat kernels of check D are compared against.
+class ForwardingMeasure final : public SemanticMeasure {
+ public:
+  explicit ForwardingMeasure(const SemanticMeasure* base) : base_(base) {}
+  double Sim(NodeId u, NodeId v) const override { return base_->Sim(u, v); }
+  std::string_view name() const override { return base_->name(); }
+
+ private:
+  const SemanticMeasure* base_;
+};
 
 // At most this many violations are recorded per instance; one broken
 // invariant usually fails hundreds of comparisons and the tail adds
@@ -427,17 +438,52 @@ class InstanceRunner {
 
   // ---- D-G: the MC estimator kernels -------------------------------------
 
-  void CheckEstimatorKernels() {
-    SemSimMcEstimator generic(hin_.get(), measure_.get(), walks_.get());
-    SemSimMcEstimator flat(hin_.get(), measure_.get(), walks_.get());
-    TransitionTable transitions = TransitionTable::Build(*hin_);
-    kernels::SemInfo info = kernels::ClassifyMeasure(measure_.get());
-    std::unique_ptr<FlatSemanticTable> flat_sem;
-    if (info.kind != kernels::SemKind::kVirtual) {
-      flat_sem = std::make_unique<FlatSemanticTable>(
-          FlatSemanticTable::Build(*info.context));
+  // D (edges): every group of the estimator's transition table equals
+  // Hin::InEdgeInfo plus the q divisions, bit for bit, and the groups of
+  // a node cover its in-degree — on this instance's parallel edges,
+  // heavy-tailed weights and isolated nodes.
+  void CheckTransitionTable(const TransitionTable& table) {
+    size_t groups_seen = 0;
+    for (NodeId v = 0; v < hin_->num_nodes() && !suppressed_; ++v) {
+      std::string node_tag = "node " + std::to_string(v);
+      uint64_t multiplicity = 0;
+      for (const TransitionTable::Group& g : table.InGroups(v)) {
+        ++groups_seen;
+        multiplicity += g.multiplicity;
+        std::string tag =
+            node_tag + " <- " + std::to_string(g.from) + " group ";
+        Hin::EdgeInfo e = hin_->InEdgeInfo(v, g.from);
+        CheckBit("transition-table", tag + "multiplicity", g.multiplicity,
+                 e.multiplicity);
+        CheckBit("transition-table", tag + "total_weight", g.total_weight,
+                 e.total_weight);
+        CheckBit("transition-table", tag + "q_uniform", g.q_uniform,
+                 static_cast<double>(e.multiplicity) /
+                     static_cast<double>(hin_->InDegree(v)));
+        CheckBit("transition-table", tag + "q_weighted", g.q_weighted,
+                 e.total_weight / hin_->TotalInWeight(v));
+        if (table.FindInGroup(v, g.from) != &g) {
+          AddViolation("transition-table",
+                       tag + "is not what the hash lookup returns");
+        }
+      }
+      CheckBit("transition-table", node_tag + " group multiplicities",
+               static_cast<double>(multiplicity),
+               static_cast<double>(hin_->InDegree(v)));
     }
-    flat.AttachFlatKernel(flat_sem.get(), &transitions);
+    CheckBit("transition-table", "group count",
+             static_cast<double>(table.num_groups()),
+             static_cast<double>(groups_seen));
+  }
+
+  void CheckEstimatorKernels() {
+    // The served estimator runs a flat semantic kernel whenever the
+    // measure is a built-in; the reference estimator sees the same
+    // measure through a ForwardingMeasure and runs the virtual policy.
+    ForwardingMeasure forwarding(measure_.get());
+    SemSimMcEstimator served(hin_.get(), measure_.get(), walks_.get());
+    SemSimMcEstimator reference(hin_.get(), &forwarding, walks_.get());
+    CheckTransitionTable(*served.transition_table());
 
     SemSimMcOptions unpruned{cfg_.mc.decay, 0.0};
     double bias = DifferentialBias(cfg_.mc.decay, cfg_.walks.walk_length,
@@ -457,17 +503,17 @@ class InstanceRunner {
       std::string pair_tag =
           "(" + std::to_string(u) + "," + std::to_string(v) + ")";
 
-      // D: flat kernels are bit-identical to the generic path, pruned
-      // and unpruned, and the devirtualized sem matches the measure.
-      double gen0 = generic.Query(u, v, unpruned);
-      CheckBit("flat-vs-generic", "Query theta=0 " + pair_tag,
-               flat.Query(u, v, unpruned), gen0);
-      double gen_theta = generic.Query(u, v, cfg_.mc);
-      CheckBit("flat-vs-generic",
+      // D (semantics): the served kernel is bit-identical to the virtual
+      // reference, pruned and unpruned, and its sem matches the measure.
+      double ref0 = reference.Query(u, v, unpruned);
+      CheckBit("flat-vs-virtual", "Query theta=0 " + pair_tag,
+               served.Query(u, v, unpruned), ref0);
+      double ref_theta = reference.Query(u, v, cfg_.mc);
+      CheckBit("flat-vs-virtual",
                "Query theta=" + FormatDouble(cfg_.mc.theta) + " " + pair_tag,
-               flat.Query(u, v, cfg_.mc), gen_theta);
-      CheckBit("flat-vs-generic", "SemValue " + pair_tag,
-               flat.SemValue(u, v), measure_->Sim(u, v));
+               served.Query(u, v, cfg_.mc), ref_theta);
+      CheckBit("flat-vs-virtual", "SemValue " + pair_tag,
+               served.SemValue(u, v), measure_->Sim(u, v));
 
       // E: Query decomposes into CoupledWalkScore samples — replaying
       // the public building blocks in walk order reproduces the exact
@@ -475,7 +521,7 @@ class InstanceRunner {
       std::vector<double> samples;
       if (u != v) {
         SemSimMcEstimator::QueryContext context;
-        double sem_uv = generic.SemValue(u, v);
+        double sem_uv = reference.SemValue(u, v);
         double total = 0.0;
         samples.reserve(static_cast<size_t>(walks_->num_walks()));
         for (int w = 0; w < walks_->num_walks(); ++w) {
@@ -485,7 +531,7 @@ class InstanceRunner {
             continue;
           }
           double score =
-              generic.CoupledWalkScore(u, v, w, meet, unpruned, &context);
+              reference.CoupledWalkScore(u, v, w, meet, unpruned, &context);
           total += score;
           samples.push_back(sem_uv * score);
         }
@@ -493,7 +539,7 @@ class InstanceRunner {
             sem_uv * total / static_cast<double>(walks_->num_walks());
         CheckBit("walk-recomposition",
                  "sem*sum(CoupledWalkScore)/n_w vs Query " + pair_tag,
-                 recomposed, gen0);
+                 recomposed, ref0);
       }
 
       // F: unpruned MC within the Hoeffding/CLT band of the oracle.
@@ -501,7 +547,7 @@ class InstanceRunner {
         double max_sample = 0.0;
         for (double s : samples) max_sample = std::max(max_sample, s);
         std::string msg = CheckWithinStatBand(
-            gen0, oracle_->at(u, v), samples, std::max(1.0, max_sample),
+            ref0, oracle_->at(u, v), samples, std::max(1.0, max_sample),
             opt_.delta, bias + 1e-12, "MC vs oracle " + pair_tag);
         ++report_.stat_checks;
         if (!msg.empty()) AddViolation("mc-vs-oracle", msg);
@@ -511,107 +557,114 @@ class InstanceRunner {
       // sem-prune branch, both of which drop at most θ of mass).
       if (cfg_.mc.theta > 0) {
         CheckNear("pruning-bound",
-                  "theta-pruned vs unpruned " + pair_tag, gen_theta, gen0,
+                  "theta-pruned vs unpruned " + pair_tag, ref_theta, ref0,
                   cfg_.mc.theta + 1e-12);
       }
+    }
+
+    // D (single source): the inverted sweep through the served kernel
+    // is bit-identical to the same sweep through the virtual reference.
+    SingleSourceIndex inverted =
+        SingleSourceIndex::Build(*walks_, hin_->num_nodes());
+    for (NodeId u : sources_) {
+      if (suppressed_) return;
+      CompareVectorsBit("flat-vs-virtual",
+                        "SemSimFrom source " + std::to_string(u),
+                        inverted.SemSimFrom(u, served, cfg_.mc),
+                        inverted.SemSimFrom(u, reference, cfg_.mc));
     }
   }
 
   // ---- H-I: the batch engine ----------------------------------------------
 
-  Result<BatchQueryEngine> MakeEngine(QueryKernel kernel, int threads) const {
+  Result<BatchQueryEngine> MakeEngine(int threads) const {
     BatchQueryEngineOptions opt;
     opt.num_threads = threads;
-    opt.query.kernel = kernel;
     opt.query.mc = cfg_.mc;
     return BatchQueryEngine::Create(hin_.get(), measure_.get(), walks_.get(),
                                     opt);
   }
 
   void CheckEngines() {
-    Result<BatchQueryEngine> gen1 = MakeEngine(QueryKernel::kGeneric, 1);
-    Result<BatchQueryEngine> flat1 = MakeEngine(QueryKernel::kFlat, 1);
-    Result<BatchQueryEngine> flatN =
-        MakeEngine(QueryKernel::kFlat, cfg_.threads);
-    if (!gen1.ok() || !flat1.ok() || !flatN.ok()) {
+    Result<BatchQueryEngine> one = MakeEngine(1);
+    Result<BatchQueryEngine> many = MakeEngine(cfg_.threads);
+    if (!one.ok() || !many.ok()) {
       AddViolation("engine-create",
-                   (!gen1.ok() ? gen1.status() : !flat1.ok() ? flat1.status()
-                                                             : flatN.status())
-                       .ToString());
+                   (!one.ok() ? one.status() : many.status()).ToString());
       return;
     }
-    gen1_ = std::make_unique<BatchQueryEngine>(std::move(gen1).value());
-    flat1_ = std::make_unique<BatchQueryEngine>(std::move(flat1).value());
-    flatN_ = std::make_unique<BatchQueryEngine>(std::move(flatN).value());
+    engine1_ = std::make_unique<BatchQueryEngine>(std::move(one).value());
+    engineN_ = std::make_unique<BatchQueryEngine>(std::move(many).value());
 
     // H: the engine's batch answer equals its own estimator queried
-    // serially, pair by pair (the QueryBatch contract).
-    std::vector<double> reference = gen1_->QueryBatch(pairs_).values;
+    // serially, pair by pair (the QueryBatch contract). The batch runs
+    // first, on cold caches.
+    std::vector<double> reference = engine1_->QueryBatch(pairs_).values;
     for (size_t i = 0; i < pairs_.size() && !suppressed_; ++i) {
       CheckBit("engine-batch-vs-serial",
                "QueryBatch[" + std::to_string(i) + "] vs estimator().Query",
                reference[i],
-               gen1_->estimator().Query(pairs_[i].first, pairs_[i].second,
-                                        cfg_.mc));
+               engine1_->estimator().Query(pairs_[i].first, pairs_[i].second,
+                                           cfg_.mc));
     }
 
-    // I: kernels, thread counts, and cache history never change batch
-    // results. Two rounds per engine exercise warm-cache replays; the
-    // self-test hook perturbs the first flat round so harness unit tests
-    // can prove a deviation is caught and reported with a repro line.
-    std::vector<double> flat_round1 = flat1_->QueryBatch(pairs_).values;
-    if (opt_.self_test_perturbation != 0.0 && !flat_round1.empty()) {
-      flat_round1[0] += opt_.self_test_perturbation;
+    // I: thread counts and cache history never change batch results.
+    // The cold 1-thread round is the reference; a warm 1-thread round
+    // and a cold and a warm N-thread round must reproduce it. The
+    // self-test hook perturbs the warm 1-thread round so harness unit
+    // tests can prove a deviation is caught and reported with a repro
+    // line.
+    std::vector<double> warm1 = engine1_->QueryBatch(pairs_).values;
+    if (opt_.self_test_perturbation != 0.0 && !warm1.empty()) {
+      warm1[0] += opt_.self_test_perturbation;
     }
     CompareVectorsBit("engine-equivalence",
-                      "flat 1-thread round 1 vs generic", flat_round1,
+                      "1-thread round 2 (warm caches) vs round 1", warm1,
                       reference);
     CompareVectorsBit("engine-equivalence",
-                      "flat 1-thread round 2 (warm caches) vs generic",
-                      flat1_->QueryBatch(pairs_).values, reference);
+                      "N-thread round 1 vs 1-thread round 1",
+                      engineN_->QueryBatch(pairs_).values, reference);
     CompareVectorsBit("engine-equivalence",
-                      "flat N-thread round 1 vs generic",
-                      flatN_->QueryBatch(pairs_).values, reference);
-    CompareVectorsBit("engine-equivalence",
-                      "flat N-thread round 2 (warm caches) vs generic",
-                      flatN_->QueryBatch(pairs_).values, reference);
+                      "N-thread round 2 (warm caches) vs 1-thread round 1",
+                      engineN_->QueryBatch(pairs_).values, reference);
   }
 
   // ---- J-L: single-source and top-k ---------------------------------------
 
   void CheckSingleSourceAndTopK() {
-    if (!gen1_ || !flat1_ || !flatN_) return;
+    if (!engine1_ || !engineN_) return;
 
-    std::vector<std::vector<double>> rows_gen =
-        gen1_->SingleSourceBatch(sources_).values;
-    std::vector<std::vector<double>> rows_flat1 =
-        flat1_->SingleSourceBatch(sources_).values;
-    std::vector<std::vector<double>> rows_flatN =
-        flatN_->SingleSourceBatch(sources_).values;
+    std::vector<std::vector<double>> rows_1 =
+        engine1_->SingleSourceBatch(sources_).values;
+    std::vector<std::vector<double>> rows_1_warm =
+        engine1_->SingleSourceBatch(sources_).values;
+    std::vector<std::vector<double>> rows_N =
+        engineN_->SingleSourceBatch(sources_).values;
 
     for (size_t i = 0; i < sources_.size() && !suppressed_; ++i) {
       NodeId u = sources_[i];
       std::string src_tag = "source " + std::to_string(u);
 
-      // J: the inverted sweep is bit-stable across kernels and thread
-      // counts, and matches per-pair Query up to the documented
+      // J: the inverted sweep is bit-stable across thread counts and
+      // cache history, and matches per-pair Query up to the documented
       // summation-order band.
       CompareVectorsBit("single-source-equivalence",
-                        src_tag + ": flat 1-thread vs generic",
-                        rows_flat1[i], rows_gen[i]);
+                        src_tag + ": 1-thread round 2 (warm caches) vs "
+                                  "round 1",
+                        rows_1_warm[i], rows_1[i]);
       CompareVectorsBit("single-source-equivalence",
-                        src_tag + ": flat N-thread vs flat 1-thread",
-                        rows_flatN[i], rows_flat1[i]);
+                        src_tag + ": N-thread vs 1-thread", rows_N[i],
+                        rows_1[i]);
       CheckBit("single-source-vs-query", src_tag + ": self score",
-               rows_gen[i][u], 1.0);
+               rows_1[i][u], 1.0);
       size_t n = hin_->num_nodes();
       for (NodeId v = 0; v < n && !suppressed_; ++v) {
         if (v == u) continue;
         CheckNear("single-source-vs-query",
                   src_tag + ": scores[" + std::to_string(v) +
                       "] vs per-pair Query",
-                  rows_gen[i][v],
-                  gen1_->estimator().Query(u, v, cfg_.mc), 1e-10);
+                  rows_1[i][v],
+                  engine1_->estimator().Query(u, v, cfg_.mc), 1e-10);
       }
     }
 
@@ -619,11 +672,11 @@ class InstanceRunner {
     // rows (score descending, node ascending, query excluded).
     size_t k = static_cast<size_t>(cfg_.top_k);
     std::vector<std::vector<Scored>> topk =
-        flatN_->TopKBatch(sources_, k).values;
+        engineN_->TopKBatch(sources_, k).values;
     for (size_t i = 0; i < sources_.size() && !suppressed_; ++i) {
       ++report_.bit_checks;
       std::string msg = CheckTopKMatchesScores(
-          topk[i], rows_flatN[i], sources_[i], k,
+          topk[i], rows_N[i], sources_[i], k,
           "TopKBatch vs SingleSourceBatch, source " +
               std::to_string(sources_[i]));
       if (!msg.empty()) AddViolation("topk-structure", msg);
@@ -643,7 +696,7 @@ class InstanceRunner {
         oracle_row[v] = oracle_->at(u, v);
         if (v != u) {
           max_dev =
-              std::max(max_dev, std::abs(rows_flatN[i][v] - oracle_row[v]));
+              std::max(max_dev, std::abs(rows_N[i][v] - oracle_row[v]));
         }
       }
       ++report_.stat_checks;
@@ -881,9 +934,8 @@ class InstanceRunner {
   std::unique_ptr<SemanticMeasure> measure_;
   std::unique_ptr<WalkIndex> walks_;
   std::unique_ptr<ScoreMatrix> oracle_;
-  std::unique_ptr<BatchQueryEngine> gen1_;
-  std::unique_ptr<BatchQueryEngine> flat1_;
-  std::unique_ptr<BatchQueryEngine> flatN_;
+  std::unique_ptr<BatchQueryEngine> engine1_;
+  std::unique_ptr<BatchQueryEngine> engineN_;
   std::vector<NodePair> pairs_;
   std::vector<NodeId> sources_;
 };

@@ -63,7 +63,7 @@ struct DifferentialOptions {
   /// Print per-instance progress to stderr.
   bool verbose = false;
   /// Self-test hook ("testing the tester"): added to the first element
-  /// of the flat engine's batch results before comparison, so unit tests
+  /// of the warm 1-thread engine batch before comparison, so unit tests
   /// can prove a real deviation produces a violation with a usable repro
   /// line. 0 in all real runs.
   double self_test_perturbation = 0.0;
@@ -100,9 +100,10 @@ double DifferentialBias(double decay, int walk_length, int oracle_iterations,
 
 /// Generates the instance for `config` and replays the same query set
 /// through the exact iterative oracle (naive and partial-sums sweeps, 1
-/// and N threads), the generic- and flat-kernel MC estimators, the
-/// BatchQueryEngine (generic and flat, 1 and N threads, repeated
-/// rounds), the single-source sweep and top-k, a serving-artifact
+/// and N threads), the MC estimator against a virtual-semantics
+/// reference plus its transition table against the graph, the
+/// BatchQueryEngine (1 and N threads, repeated rounds), the
+/// single-source sweep and top-k, a serving-artifact
 /// round-trip (Save, then Load and zero-copy Map, compared bit for bit
 /// through the single-source stack), and the walk-sampler equivalence
 /// checks (alias builds thread-count-pinned by fingerprint; kScan and

@@ -1,7 +1,7 @@
 // semsim_verify: the randomized differential verification harness
 // (DESIGN.md §9). Runs seed-derived random (HIN, taxonomy, estimator
-// config) instances through the exact oracle, both MC kernels, the batch
-// engine, single-source and top-k, asserting the library's bit-identity
+// config) instances through the exact oracle, the MC estimator and its
+// virtual-semantics reference, the batch engine, single-source and top-k, asserting the library's bit-identity
 // promises and Hoeffding/CLT tolerance bands.
 //
 // Usage:

@@ -45,8 +45,9 @@ TEST(EngineSnapshot, BuildDerivesArtifactsAndFingerprint) {
   EXPECT_EQ(&snap->graph(), &w.graph);
   EXPECT_EQ(snap->walk_index().num_walks(), SmallWalks().num_walks);
   EXPECT_GT(snap->MemoryBytes(), 0u);
-  // Default query options use the flat kernel on a flattenable graph.
-  EXPECT_NE(snap->transition_table(), nullptr);
+  // The estimator devirtualizes Lin over its own flat semantic table.
+  EXPECT_NE(snap->estimator().flat_semantic_table(), nullptr);
+  EXPECT_EQ(snap->estimator().sem_kernel_name(), "flat-lin");
 
   // Same inputs, same fingerprint; a different sampling seed changes the
   // walk content and therefore the fingerprint.

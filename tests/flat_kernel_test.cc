@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -11,7 +12,6 @@
 #include "core/walk_index.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/figure1.h"
-#include "graph/transition_table.h"
 #include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
@@ -29,6 +29,19 @@ Dataset Aminer() {
   opt.seed = 7;
   return Unwrap(GenerateAminer(opt));
 }
+
+// Forwards Sim to another measure. ClassifyMeasure cannot see through
+// it, so an estimator or engine over it runs the virtual semantic
+// policy: the reference every flat-kernel answer is compared against.
+class ForwardingMeasure final : public SemanticMeasure {
+ public:
+  explicit ForwardingMeasure(const SemanticMeasure* base) : base_(base) {}
+  double Sim(NodeId u, NodeId v) const override { return base_->Sim(u, v); }
+  std::string_view name() const override { return base_->name(); }
+
+ private:
+  const SemanticMeasure* base_;
+};
 
 std::vector<NodePair> MakePairs(size_t num_nodes, size_t count) {
   std::vector<NodePair> pairs;
@@ -109,34 +122,51 @@ TEST(MeasureClassification, DetectsFlattenableMeasuresThroughCache) {
   // The decorator is transparent to classification.
   CachedSemanticMeasure cached(&lin, 1 << 10);
   EXPECT_EQ(kernels::ClassifyMeasure(&cached).kind, kernels::SemKind::kLin);
+  // A forwarding wrapper is not.
+  ForwardingMeasure forwarding(&lin);
+  EXPECT_EQ(kernels::ClassifyMeasure(&forwarding).kind,
+            kernels::SemKind::kVirtual);
+  // Classification matches by dynamic_cast, so a subclass overriding Sim
+  // would be swapped for the stock formula; the classes forbid one.
+  static_assert(std::is_final_v<LinMeasure>);
+  static_assert(std::is_final_v<ResnikMeasure>);
+  static_assert(std::is_final_v<WuPalmerMeasure>);
+  static_assert(std::is_final_v<PathMeasure>);
+  // A directly constructed estimator picks the kernel from the measure.
+  WalkIndex index = WalkIndex::Build(d.graph,
+                                     WalkIndexOptions{10, 4, 13, false});
+  EXPECT_EQ(SemSimMcEstimator(&d.graph, &lin, &index).sem_kernel_name(),
+            "flat-lin");
+  EXPECT_EQ(SemSimMcEstimator(&d.graph, &jc, &index).sem_kernel_name(),
+            "virtual");
 }
 
 // ---------------------------------------------------------------------------
 // Layer 2: estimator-level bit-equality — single-pair, single-source and
-// top-k answers are identical with and without the flat kernels.
+// top-k answers of the flat semantic kernel equal those of the virtual
+// policy over the same measure.
 // ---------------------------------------------------------------------------
 
 template <typename Measure>
 void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
   Measure measure(&d.context);
+  ForwardingMeasure forwarding(&measure);
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{40, 8, 13, false});
-  TransitionTable transitions = TransitionTable::Build(d.graph);
-  FlatSemanticTable semantics = FlatSemanticTable::Build(d.context);
 
-  SemSimMcEstimator generic(&d.graph, &measure, &index);
   SemSimMcEstimator flat(&d.graph, &measure, &index);
-  ASSERT_TRUE(flat.AttachFlatKernel(&semantics, &transitions));
-  EXPECT_TRUE(flat.flat());
+  SemSimMcEstimator reference(&d.graph, &forwarding, &index);
   EXPECT_EQ(flat.sem_kernel_name(), flat_name);
-  EXPECT_EQ(generic.sem_kernel_name(), "virtual");
+  ASSERT_NE(flat.flat_semantic_table(), nullptr);
+  EXPECT_EQ(reference.sem_kernel_name(), "virtual");
+  EXPECT_EQ(reference.flat_semantic_table(), nullptr);
 
   std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 150);
   for (double theta : {0.0, 0.05}) {
     SemSimMcOptions opt{0.6, theta};
     for (const NodePair& p : pairs) {
       ASSERT_EQ(flat.Query(p.first, p.second, opt),
-                generic.Query(p.first, p.second, opt))
+                reference.Query(p.first, p.second, opt))
           << "pair (" << p.first << "," << p.second << ") theta " << theta;
       ASSERT_EQ(flat.SemValue(p.first, p.second),
                 measure.Sim(p.first, p.second));
@@ -149,23 +179,17 @@ void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
   for (NodeId u = 0; u < d.graph.num_nodes();
        u += 1 + d.graph.num_nodes() / 8) {
     std::vector<double> sf = inverted.SemSimFrom(u, flat, opt);
-    std::vector<double> sg = inverted.SemSimFrom(u, generic, opt);
-    ASSERT_EQ(sf.size(), sg.size());
-    for (size_t v = 0; v < sf.size(); ++v) ASSERT_EQ(sf[v], sg[v]);
+    std::vector<double> sr = inverted.SemSimFrom(u, reference, opt);
+    ASSERT_EQ(sf.size(), sr.size());
+    for (size_t v = 0; v < sf.size(); ++v) ASSERT_EQ(sf[v], sr[v]);
     std::vector<Scored> tf = inverted.TopKFrom(u, 10, flat, opt);
-    std::vector<Scored> tg = inverted.TopKFrom(u, 10, generic, opt);
-    ASSERT_EQ(tf.size(), tg.size());
+    std::vector<Scored> tr = inverted.TopKFrom(u, 10, reference, opt);
+    ASSERT_EQ(tf.size(), tr.size());
     for (size_t i = 0; i < tf.size(); ++i) {
-      ASSERT_EQ(tf[i].node, tg[i].node);
-      ASSERT_EQ(tf[i].score, tg[i].score);
+      ASSERT_EQ(tf[i].node, tr[i].node);
+      ASSERT_EQ(tf[i].score, tr[i].score);
     }
   }
-
-  // Detach restores the generic path (still bit-identical, of course).
-  flat.DetachFlatKernel();
-  EXPECT_FALSE(flat.flat());
-  ASSERT_EQ(flat.Query(pairs[0].first, pairs[0].second, opt),
-            generic.Query(pairs[0].first, pairs[0].second, opt));
 }
 
 TEST(FlatKernelEstimator, LinBitIdentical) {
@@ -188,38 +212,35 @@ TEST(FlatKernelEstimator, PathBitIdentical) {
   CheckEstimatorEquivalence<PathMeasure>(Aminer(), "flat-path");
 }
 
-TEST(FlatKernelEstimator, TransitionTableOnlyFallbackForJiangConrath) {
-  // JiangConrath has no flat kernel: AttachFlatKernel must keep the
-  // virtual semantics, still use the transition table, and still be
-  // bit-identical to the fully generic path.
+TEST(FlatKernelEstimator, JiangConrathRunsVirtualSemantics) {
+  // JiangConrath has no flat kernel: the estimator keeps the virtual
+  // semantics, builds no flat semantic table, and still steps through
+  // its transition table.
   Dataset d = Figure1();
   JiangConrathMeasure measure(&d.context);
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{40, 8, 13, false});
-  TransitionTable transitions = TransitionTable::Build(d.graph);
-
-  SemSimMcEstimator generic(&d.graph, &measure, &index);
-  SemSimMcEstimator flat(&d.graph, &measure, &index);
-  EXPECT_FALSE(flat.AttachFlatKernel(nullptr, &transitions));
-  EXPECT_TRUE(flat.flat());
-  EXPECT_EQ(flat.sem_kernel_name(), "virtual");
-
-  SemSimMcOptions opt{0.6, 0.05};
+  SemSimMcEstimator estimator(&d.graph, &measure, &index);
+  EXPECT_EQ(estimator.sem_kernel_name(), "virtual");
+  EXPECT_EQ(estimator.flat_semantic_table(), nullptr);
+  ASSERT_NE(estimator.transition_table(), nullptr);
+  EXPECT_EQ(estimator.transition_table()->num_nodes(), d.graph.num_nodes());
   for (const NodePair& p : MakePairs(d.graph.num_nodes(), 100)) {
-    ASSERT_EQ(flat.Query(p.first, p.second, opt),
-              generic.Query(p.first, p.second, opt));
+    ASSERT_EQ(estimator.SemValue(p.first, p.second),
+              measure.Sim(p.first, p.second));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: engine-level bit-equality — a kFlat BatchQueryEngine and a
-// kGeneric one return identical batches at 1, 2 and 8 threads, across
-// repeated rounds (cache history must not matter).
+// Layer 3: engine-level bit-equality — engines over Lin return the same
+// batches at 1, 2 and 8 threads as a 1-thread engine over the virtual
+// reference, across repeated rounds (cache history must not matter).
 // ---------------------------------------------------------------------------
 
-TEST(FlatKernelEngine, BatchesBitIdenticalAcrossKernelsAndThreads) {
+TEST(FlatKernelEngine, BatchesBitIdenticalToVirtualAcrossThreads) {
   for (const Dataset& d : {Figure1(), Aminer()}) {
     LinMeasure lin(&d.context);
+    ForwardingMeasure forwarding(&lin);
     WalkIndex index = WalkIndex::Build(d.graph,
                                        WalkIndexOptions{40, 8, 13, false});
     std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 300);
@@ -229,13 +250,13 @@ TEST(FlatKernelEngine, BatchesBitIdenticalAcrossKernelsAndThreads) {
       sources.push_back(u);
     }
 
-    BatchQueryEngineOptions generic_opt;
-    generic_opt.num_threads = 1;
-    generic_opt.query.kernel = QueryKernel::kGeneric;
-    BatchQueryEngine reference = testutil::Unwrap(
-        BatchQueryEngine::Create(&d.graph, &lin, &index, generic_opt));
-    EXPECT_EQ(reference.kernel_name(), "generic");
-    EXPECT_EQ(reference.transition_table(), nullptr);
+    BatchQueryEngineOptions reference_opt;
+    reference_opt.num_threads = 1;
+    BatchQueryEngine reference = testutil::Unwrap(BatchQueryEngine::Create(
+        &d.graph, &forwarding, &index, reference_opt));
+    EXPECT_EQ(reference.estimator().sem_kernel_name(), "virtual");
+    // Virtual semantics get the memoizing wrapper.
+    EXPECT_NE(reference.cached_semantic(), nullptr);
     std::vector<double> want = reference.QueryBatch(pairs).values;
     auto want_sources = reference.SingleSourceBatch(sources).values;
     auto want_topk = reference.TopKBatch(sources, 10).values;
@@ -243,12 +264,10 @@ TEST(FlatKernelEngine, BatchesBitIdenticalAcrossKernelsAndThreads) {
     for (int threads : {1, 2, 8}) {
       BatchQueryEngineOptions opt;
       opt.num_threads = threads;
-      opt.query.kernel = QueryKernel::kFlat;
       BatchQueryEngine engine = testutil::Unwrap(
           BatchQueryEngine::Create(&d.graph, &lin, &index, opt));
-      EXPECT_EQ(engine.kernel_name(), "flat+flat-lin");
-      ASSERT_NE(engine.transition_table(), nullptr);
-      ASSERT_NE(engine.flat_semantic_table(), nullptr);
+      EXPECT_EQ(engine.estimator().sem_kernel_name(), "flat-lin");
+      ASSERT_NE(engine.estimator().flat_semantic_table(), nullptr);
       // Devirtualized semantics: no memoizing wrapper is built.
       EXPECT_EQ(engine.cached_semantic(), nullptr);
 
@@ -285,25 +304,21 @@ TEST(FlatKernelEngine, ConstantMeasureFallsBackToVirtual) {
   ConstantMeasure constant;
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{30, 8, 13, false});
-  BatchQueryEngineOptions flat_opt;
-  flat_opt.num_threads = 2;
-  flat_opt.query.kernel = QueryKernel::kFlat;
-  BatchQueryEngine flat_engine = testutil::Unwrap(
-      BatchQueryEngine::Create(&d.graph, &constant, &index, flat_opt));
-  EXPECT_EQ(flat_engine.kernel_name(), "flat+virtual");
-  EXPECT_EQ(flat_engine.flat_semantic_table(), nullptr);
-  ASSERT_NE(flat_engine.transition_table(), nullptr);
-
-  BatchQueryEngineOptions generic_opt;
-  generic_opt.num_threads = 2;
-  generic_opt.query.kernel = QueryKernel::kGeneric;
-  BatchQueryEngine generic_engine = testutil::Unwrap(
-      BatchQueryEngine::Create(&d.graph, &constant, &index, generic_opt));
+  BatchQueryEngineOptions opt;
+  opt.num_threads = 2;
+  BatchQueryEngine engine = testutil::Unwrap(
+      BatchQueryEngine::Create(&d.graph, &constant, &index, opt));
+  EXPECT_EQ(engine.estimator().sem_kernel_name(), "virtual");
+  EXPECT_EQ(engine.estimator().flat_semantic_table(), nullptr);
+  EXPECT_NE(engine.cached_semantic(), nullptr);
 
   std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 120);
-  std::vector<double> got = flat_engine.QueryBatch(pairs).values;
-  std::vector<double> want = generic_engine.QueryBatch(pairs).values;
-  for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], want[i]);
+  std::vector<double> got = engine.QueryBatch(pairs).values;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], engine.estimator().Query(pairs[i].first,
+                                               pairs[i].second,
+                                               engine.query_options().mc));
+  }
 }
 
 }  // namespace

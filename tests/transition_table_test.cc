@@ -12,8 +12,8 @@ using testutil::MakeSmallWorld;
 using testutil::Unwrap;
 
 // Every group must reproduce Hin::InEdgeInfo bit-for-bit, and the
-// precomputed quotients must equal the divisions the generic query path
-// performs — exact EXPECT_EQ on doubles, no tolerance.
+// precomputed quotients must equal InEdgeInfo plus its divisions by
+// InDegree / TotalInWeight — exact EXPECT_EQ on doubles, no tolerance.
 void CheckAgainstGraph(const Hin& g, const TransitionTable& t) {
   ASSERT_EQ(t.num_nodes(), g.num_nodes());
   size_t groups_seen = 0;
